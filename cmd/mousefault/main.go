@@ -17,8 +17,8 @@
 //
 //	-layer machine|trace   bit-accurate machine sweep (default) or the
 //	                       analytic trace-layer sweep
-//	-workload NAME         arith, tiny-svm, tiny-bnn (machine layer);
-//	                       the trace layer supports arith
+//	-workload NAME         arith, tiny-svm, tiny-bnn, tiny-fft (machine
+//	                       layer); the trace layer supports arith
 //	-scalar                pin the machine to the scalar logic path
 //	-config modern-stt|projected-stt|she   technology
 //	-fracs F1,F2,...       µ-phase fractions in [0,1) (default: the

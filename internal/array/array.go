@@ -28,6 +28,7 @@ package array
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
@@ -164,6 +165,25 @@ func (t *Tile) ClearActive() { t.SetActive(nil) }
 // LoseVolatile models a power outage: the peripheral activation latch is
 // cleared, while the MTJ cells retain their states.
 func (t *Tile) LoseVolatile() { t.ClearActive() }
+
+// copyStateFrom overwrites t's cells and activation latch with src's,
+// without allocating. Both tiles must share a geometry.
+func (t *Tile) copyStateFrom(src *Tile) {
+	if t.rows != src.rows || t.cols != src.cols {
+		panic(fmt.Sprintf("array: copying a %dx%d tile into %dx%d", src.rows, src.cols, t.rows, t.cols))
+	}
+	copy(t.planes, src.planes)
+	copy(t.active, src.active)
+	t.nActive = src.nActive
+}
+
+// stateEqual reports whether t and o hold identical cells and
+// activation latches — everything a tile contributes to the rest of a
+// run.
+func (t *Tile) stateEqual(o *Tile) bool {
+	return t.rows == o.rows && t.cols == o.cols && t.nActive == o.nActive &&
+		slices.Equal(t.active, o.active) && slices.Equal(t.planes, o.planes)
+}
 
 // ReadRow senses one full row into buf (least-significant bit of buf[0]
 // is column 0). buf must hold at least (cols+7)/8 bytes.

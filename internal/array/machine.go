@@ -88,6 +88,34 @@ func (m *Machine) LoseVolatile() {
 	}
 }
 
+// CopyStateFrom overwrites m's run state — every tile's cells and
+// activation latch, and the memory buffer — with src's, without
+// allocating. Both machines must share a geometry; configuration
+// (Cfg, ForceScalar, Obs) is left alone.
+func (m *Machine) CopyStateFrom(src *Machine) {
+	if len(m.Tiles) != len(src.Tiles) || len(m.Buffer) != len(src.Buffer) {
+		panic(fmt.Sprintf("array: copying a %d-tile machine into a %d-tile one", len(src.Tiles), len(m.Tiles)))
+	}
+	for i, t := range m.Tiles {
+		t.copyStateFrom(src.Tiles[i])
+	}
+	copy(m.Buffer, src.Buffer)
+}
+
+// StateEqual reports whether m and o hold identical run state: the
+// memory buffer and every tile's cells and activation latch.
+func (m *Machine) StateEqual(o *Machine) bool {
+	if len(m.Tiles) != len(o.Tiles) || string(m.Buffer) != string(o.Buffer) {
+		return false
+	}
+	for i, t := range m.Tiles {
+		if !t.stateEqual(o.Tiles[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Exec applies the full (uninterrupted) datapath effect of one
 // instruction. Interruptible execution paths are exercised through
 // ExecPartial.

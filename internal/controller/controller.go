@@ -26,6 +26,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mouse/internal/array"
 	"mouse/internal/isa"
@@ -181,6 +182,24 @@ func (nv *Persistent) commitAct() {
 	nv.ActSet = true
 }
 
+// equal reports whether two register files hold identical contents,
+// both copies of each duplicated register included.
+func (nv *Persistent) equal(o *Persistent) bool {
+	return nv.PCA == o.PCA && nv.PCB == o.PCB && nv.Parity == o.Parity &&
+		sameInstr(&nv.ActA, &o.ActA) && sameInstr(&nv.ActB, &o.ActB) &&
+		nv.ActParity == o.ActParity && nv.ActSet == o.ActSet &&
+		nv.SensorPC == o.SensorPC && nv.SensorPCSet == o.SensorPCSet
+}
+
+// sameInstr compares two instructions field by field (the column list
+// makes isa.Instruction incomparable with ==).
+func sameInstr(a, b *isa.Instruction) bool {
+	return a.Kind == b.Kind && a.Gate == b.Gate && a.In == b.In && a.Out == b.Out &&
+		a.Tile == b.Tile && a.Row == b.Row && a.Rot == b.Rot && a.Value == b.Value &&
+		a.Broadcast == b.Broadcast && slices.Equal(a.Cols, b.Cols) &&
+		a.Ranged == b.Ranged && a.Start == b.Start && a.Count == b.Count && a.Stride == b.Stride
+}
+
 // Phase enumerates the µ-steps of one instruction cycle, in execution
 // order. Power can fail between (or during) any of them; tests
 // exhaustively interrupt each one.
@@ -262,6 +281,26 @@ func (c *Controller) SetSensor(s Sensor) { c.sensor = s }
 
 // Machine returns the attached datapath.
 func (c *Controller) Machine() *array.Machine { return c.mach }
+
+// CopyStateFrom overwrites c's run state with src's without allocating:
+// the non-volatile registers and the machine's cells, activation
+// latches and memory buffer. Together these determine the rest of a run,
+// so a copied controller continues exactly as src would. Both must run
+// the same program on the same geometry (two controllers built by one
+// constructor); the store, sensor and informational counters stay c's
+// own. Copied ACT registers share their column lists with src, which is
+// safe because instructions are never mutated in place.
+func (c *Controller) CopyStateFrom(src *Controller) {
+	c.NV = src.NV
+	c.mach.CopyStateFrom(src.mach)
+}
+
+// StateEqual reports whether c and o hold identical run state (the
+// state CopyStateFrom copies): from equal states, the same program runs
+// identical suffixes.
+func (c *Controller) StateEqual(o *Controller) bool {
+	return c.NV.equal(&o.NV) && c.mach.StateEqual(o.mach)
+}
 
 // Peek returns the instruction the next Step will execute, without side
 // effects. ok=false means the program is complete. The simulator uses it

@@ -412,3 +412,69 @@ func TestRepeatedInferencePasses(t *testing.T) {
 		t.Fatalf("result wrong after repeated passes")
 	}
 }
+
+// TestCopyStateFromAndStateEqual: a copied controller equals its source
+// and runs the same suffix, and a difference in any part of the run
+// state — a cell, an activation latch, the memory buffer, either PC or
+// ACT register, the sensor PC — breaks equality.
+func TestCopyStateFromAndStateEqual(t *testing.T) {
+	const prefix = 10 // past the first ACT and the Read into the buffer
+	stepped := func(t *testing.T) *Controller {
+		t.Helper()
+		c, _ := newRig()
+		for i := 0; i < prefix; i++ {
+			if _, err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+
+	src := stepped(t)
+	dst, _ := newRig()
+	if dst.StateEqual(src) {
+		t.Fatal("a fresh controller equals a stepped one")
+	}
+	dst.CopyStateFrom(src)
+	if !dst.StateEqual(src) {
+		t.Fatal("copy differs from its source")
+	}
+	for done := false; !done; {
+		var err error
+		if done, err = src.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dst.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.StateEqual(src) {
+			t.Fatalf("copy diverged at pc %d", src.NV.PC())
+		}
+	}
+
+	mutations := []struct {
+		name   string
+		mutate func(c *Controller)
+	}{
+		{"cell", func(c *Controller) {
+			tile := c.Machine().Tiles[1]
+			tile.SetBit(3, 2, 1-tile.Bit(3, 2))
+		}},
+		// Same column count as the rig's {0, 1}, different columns.
+		{"latch", func(c *Controller) { c.Machine().Tiles[0].SetActive([]uint16{2, 3}) }},
+		{"buffer", func(c *Controller) { c.Machine().Buffer[0] ^= 1 }},
+		{"invalid PC", func(c *Controller) { c.NV.setNextPC(^uint64(0)) }},
+		{"invalid ACT", func(c *Controller) { c.NV.setNextAct(isa.ActList(true, 0, []uint16{3})) }},
+		{"sensor PC", func(c *Controller) { c.NV.SensorPCSet = true }},
+	}
+	for _, m := range mutations {
+		a, b := stepped(t), stepped(t)
+		if !a.StateEqual(b) {
+			t.Fatalf("%s: identical runs differ", m.name)
+		}
+		m.mutate(b)
+		if a.StateEqual(b) || b.StateEqual(a) {
+			t.Errorf("%s: mutation not detected", m.name)
+		}
+	}
+}

@@ -30,9 +30,14 @@ type Options struct {
 	// 1 runs serially. Reports are identical at any parallelism.
 	Workers int
 
-	// Obs optionally receives every injected run's event stream plus one
-	// probe fault event per injection. It is shared across concurrent
-	// workers, so it must be concurrency-safe (like probe.Stats).
+	// Obs optionally receives one probe fault event per injection plus
+	// the events of the run that injection simulates. A machine-layer
+	// Sweep forks each run from the golden state where its crash lands,
+	// so Obs sees the initial charge and the simulated suffix (the
+	// crash, recovery and replay up to re-convergence), not the golden
+	// prefix; Inject and the trace layer report whole runs. It is shared
+	// across concurrent workers, so it must be concurrency-safe (like
+	// probe.Stats).
 	Obs probe.Observer
 }
 
@@ -81,10 +86,25 @@ func checkPoint(p Point, g *Golden) error {
 	return nil
 }
 
+// injector schedules p's outage: it returns p's energy window, the
+// injector realizing it, and the observer the injected run reports to
+// (the injector, joined by obs when enabled, after announcing the
+// injection to it).
+func (g *Golden) injector(p Point, obs probe.Observer) (float64, *Injector, probe.Observer) {
+	windowJ := g.windowFor(p)
+	inj := NewInjector(windowJ, g.recoverW)
+	if !probe.Enabled(obs) {
+		return windowJ, inj, inj
+	}
+	probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
+	return windowJ, inj, probe.Multi{inj, obs}
+}
+
 // Inject runs one scheduled crash of the machine workload against the
-// golden reference and returns its verdict. It is the unit the sweep
-// parallelizes — and the entry point for the fuzz harness, which feeds
-// it arbitrary points.
+// golden reference from scratch — a fresh controller stepped from
+// instruction 0 — and returns its verdict. It is the oracle the fork
+// engine behind Sweep is differentially tested against, and the entry
+// point for the fuzz harness, which feeds it arbitrary points.
 func Inject(w Workload, g *Golden, p Point, obs probe.Observer) (Verdict, error) {
 	if err := checkPoint(p, g); err != nil {
 		return Verdict{}, err
@@ -93,14 +113,9 @@ func Inject(w Workload, g *Golden, p Point, obs probe.Observer) (Verdict, error)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("fault: building %s: %w", w.Name, err)
 	}
-	windowJ := g.windowFor(p)
-	inj := NewInjector(windowJ, g.recoverW)
+	windowJ, inj, runObs := g.injector(p, obs)
 	r := sim.NewMachineRunner(c)
-	r.Obs = inj
-	if probe.Enabled(obs) {
-		r.Obs = probe.Multi{inj, obs}
-		probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
-	}
+	r.Obs = runObs
 	res, runErr := r.Run(inj.Harvester())
 	v := verdictFor(p, windowJ, res, runErr, g)
 	if v.Mismatch == "" {
@@ -114,6 +129,9 @@ func Inject(w Workload, g *Golden, p Point, obs probe.Observer) (Verdict, error)
 
 // Sweep crashes the machine workload at every scheduled injection point
 // and differentially checks each crashed run against one golden run.
+// Each injected run is forked from the golden run's state where its
+// crash lands and stops once it re-converges (fork.go); the verdicts
+// equal Inject's point for point.
 func Sweep(w Workload, opts Options) (*Report, error) {
 	g, err := RunGolden(w)
 	if err != nil {
@@ -121,9 +139,7 @@ func Sweep(w Workload, opts Options) (*Report, error) {
 	}
 	start := time.Now()
 	pts := enumerate(len(g.Energies), opts)
-	verdicts, err := bench.Jobs(opts.Workers, len(pts), func(i int) (Verdict, error) {
-		return Inject(w, g, pts[i], opts.Obs)
-	})
+	verdicts, err := forkSweep(w, g, pts, opts.Workers, opts.Obs)
 	if err != nil {
 		return nil, err
 	}
@@ -140,14 +156,8 @@ func InjectStream(w StreamWorkload, g *Golden, p Point, obs probe.Observer) (Ver
 	if err := checkPoint(p, g); err != nil {
 		return Verdict{}, err
 	}
-	windowJ := g.windowFor(p)
-	inj := NewInjector(windowJ, g.recoverW)
-	r := &sim.Runner{Model: w.Model, MaxChargeWait: 24 * 3600}
-	r.Obs = inj
-	if probe.Enabled(obs) {
-		r.Obs = probe.Multi{inj, obs}
-		probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
-	}
+	windowJ, inj, runObs := g.injector(p, obs)
+	r := &sim.Runner{Model: w.Model, MaxChargeWait: 24 * 3600, Obs: runObs}
 	res, runErr := r.Run(w.New(), inj.Harvester())
 	return verdictFor(p, windowJ, res, runErr, g), nil
 }

@@ -22,9 +22,11 @@
 //
 // The adversarial supply is Injector: a power.Source pre-charged with
 // exactly enough energy to die at the scheduled point, recovering the
-// moment the outage fires. Enumeration parallelizes over injection
-// points on the bench worker pool; results are index-ordered, so serial
-// and parallel sweeps produce identical reports.
+// moment the outage fires. A machine-layer Sweep forks each injected
+// run from the golden run and stops it at re-convergence (fork.go), with
+// Inject, the from-scratch engine, as its oracle. Sweeps parallelize on
+// the bench worker pool; results are index-ordered, so serial and
+// parallel sweeps produce identical reports.
 package fault
 
 import (
@@ -39,9 +41,11 @@ import (
 )
 
 // Workload is a bit-accurate machine workload: New builds a fresh
-// controller (machine + program + preloaded inputs) for one run. Every
-// injection point re-runs a fresh instance, so New must be deterministic
-// and safe to call from concurrent sweep workers.
+// controller (machine + program + preloaded inputs) for one run. Inject
+// builds one per injection and each Sweep worker builds three (a fork
+// and two golden cursors that copy state between them), so New must be
+// deterministic, build the same program and geometry every time, and be
+// safe to call from concurrent sweep workers.
 type Workload struct {
 	Name string
 	New  func() (*controller.Controller, error)
@@ -114,6 +118,9 @@ type Golden struct {
 	maxE     float64   // costliest single instruction, joules
 	snap     *snapshot
 	recoverW float64
+	// dt and maxWait are the golden runner's cycle time and recharge
+	// bound, which every injected machine run shares.
+	dt, maxWait float64
 }
 
 // Points returns the number of whole-instruction boundaries available
@@ -158,17 +165,16 @@ func RunGolden(w Workload) (*Golden, error) {
 	if len(rec.energies) == 0 {
 		return nil, fmt.Errorf("fault: %s executed no instructions", w.Name)
 	}
-	g := &Golden{Result: res, Energies: rec.energies, snap: capture(c)}
+	g := &Golden{Result: res, Energies: rec.energies, snap: capture(c), dt: r.Model.CycleTime(), maxWait: r.MaxChargeWait}
 	g.prefix = prefixSums(rec.energies)
 	g.maxE = maxFloat(rec.energies)
 	// Recovery must out-pay the hungriest cycle and the widest possible
 	// restore (every column of every tile re-latched).
-	dt := r.Model.CycleTime()
 	peak := g.maxE
 	if re := r.Model.Restore(isa.Cols * len(c.Machine().Tiles)); re > peak {
 		peak = re
 	}
-	g.recoverW = recoverHeadroom * peak / dt
+	g.recoverW = recoverHeadroom * peak / g.dt
 	return g, nil
 }
 

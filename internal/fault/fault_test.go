@@ -152,7 +152,9 @@ func TestRandomCampaign(t *testing.T) {
 }
 
 // TestSweepEmitsFaultEvents: a shared Stats observer sees one fault
-// event per injection point, plus the outages the injections caused.
+// event per injection point, plus the outages the injections caused —
+// and only each injection's simulated suffix, so an engine that quietly
+// re-runs whole programs fails here.
 func TestSweepEmitsFaultEvents(t *testing.T) {
 	stats := &probe.Stats{}
 	w := TinySVM(mtj.ModernSTT())
@@ -166,6 +168,11 @@ func TestSweepEmitsFaultEvents(t *testing.T) {
 	}
 	if sec.Interrupts < uint64(rep.Points) {
 		t.Fatalf("stats saw %d interrupts for %d injections", sec.Interrupts, rep.Points)
+	}
+	// A fork retires the replayed instruction and stops at
+	// re-convergence; a from-scratch run would retire the whole program.
+	if perPoint := float64(sec.Instructions) / float64(rep.Points); perPoint >= 4 {
+		t.Fatalf("%.1f instructions retired per injection (program is %d), want < 4", perPoint, rep.Instructions)
 	}
 }
 
@@ -224,8 +231,9 @@ func TestInjectBounds(t *testing.T) {
 }
 
 // FuzzCrashEquivalence feeds arbitrary (boundary, fraction) points into
-// the bit-accurate injector: every reachable point must be
-// crash-equivalent.
+// both bit-accurate engines: every reachable point must be
+// crash-equivalent, and the fork engine's verdict must equal the
+// from-scratch oracle's.
 func FuzzCrashEquivalence(f *testing.F) {
 	w := TinySVM(mtj.ModernSTT())
 	g, err := RunGolden(w)
@@ -243,6 +251,13 @@ func FuzzCrashEquivalence(f *testing.F) {
 		}
 		if !v.Equivalent {
 			t.Fatalf("instr %d frac %.3f: %s", p.Index, p.Frac, v.Mismatch)
+		}
+		fv, err := forkInject(w, g, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fv, v) {
+			t.Fatalf("instr %d frac %.3f: fork verdict %+v, oracle %+v", p.Index, p.Frac, fv, v)
 		}
 	})
 }

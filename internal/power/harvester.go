@@ -175,15 +175,9 @@ func (h *Harvester) ChargeUntilOn(maxWait float64) (float64, error) {
 // which case the clock advances only by the completed fraction and the
 // buffer sits exactly at VOff).
 func (h *Harvester) Draw(dt, e float64) float64 {
-	harvest := h.Src.Power(h.now) * dt
-	budget := h.Cap.EnergyAbove(h.VOff) + harvest
+	harvest, budget := h.budget(dt)
 	if e <= budget || e <= 0 {
-		h.Cap.AddEnergy(harvest - e)
-		if h.Cap.Voltage() > h.vmax() {
-			h.Cap.SetVoltage(h.vmax())
-		}
-		h.now += dt
-		h.sample(false)
+		h.complete(dt, e, harvest)
 		return 1.0
 	}
 	frac := budget / e
@@ -191,6 +185,36 @@ func (h *Harvester) Draw(dt, e float64) float64 {
 	h.Cap.SetVoltage(h.VOff)
 	h.sample(true)
 	return frac
+}
+
+// DrawFull performs Draw(dt, e) only when the operation would complete
+// in full, and reports whether it did. A draw the buffer cannot pay for
+// leaves the harvester untouched, so a caller can replay a known draw
+// schedule up to, but not into, the outage.
+func (h *Harvester) DrawFull(dt, e float64) bool {
+	harvest, budget := h.budget(dt)
+	if e <= budget || e <= 0 {
+		h.complete(dt, e, harvest)
+		return true
+	}
+	return false
+}
+
+// budget returns the harvest over the next dt seconds and the energy a
+// draw can use over them: the buffer above VOff plus that harvest.
+func (h *Harvester) budget(dt float64) (harvest, budget float64) {
+	harvest = h.Src.Power(h.now) * dt
+	return harvest, h.Cap.EnergyAbove(h.VOff) + harvest
+}
+
+// complete settles a draw of e joules that the budget covers.
+func (h *Harvester) complete(dt, e, harvest float64) {
+	h.Cap.AddEnergy(harvest - e)
+	if h.Cap.Voltage() > h.vmax() {
+		h.Cap.SetVoltage(h.vmax())
+	}
+	h.now += dt
+	h.sample(false)
 }
 
 // Idle advances the clock by dt with no machine draw (e.g. the

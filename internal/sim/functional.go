@@ -39,8 +39,9 @@ type MachineRunner struct {
 	MaxChargeWait float64
 
 	// Obs receives the run's event stream (and is lent to the machine
-	// for per-tile write events while Run executes, unless the machine
-	// already has its own observer). Nil or probe.Nop disables emission.
+	// for per-tile write events while Run or Resume executes, unless the
+	// machine already has its own observer). Nil or probe.Nop disables
+	// emission.
 	Obs probe.Observer
 }
 
@@ -201,16 +202,64 @@ func instrTile(in isa.Instruction) int {
 	return -1
 }
 
+// Cursor is the machine run loop's state at a committed program
+// boundary: the accounting so far plus the converter level the next
+// instruction switches from. The zero Cursor is the start of a program;
+// Resume carries one forward.
+type Cursor struct {
+	Result
+	level int
+}
+
 // Run executes the program to completion under harvester h (or under
-// continuous power if h is nil), returning the EH-model accounting.
+// continuous power if h is nil), returning the EH-model accounting: the
+// initial charge, then the run loop from the program's first
+// instruction.
 func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
-	var b energy.Breakdown
-	var replays uint64
+	var cur Cursor
+	if h != nil {
+		off, err := r.Charge(h)
+		if err != nil {
+			return cur.Result, err
+		}
+		cur.OffLatency += off
+	}
+	err := r.Resume(h, &cur, nil)
+	return cur.Result, err
+}
+
+// Charge recharges h until the machine can boot (the initial charge of
+// a run, or the recharge after an outage), emitting the outage's begin
+// and end events, and returns the off time.
+func (r *MachineRunner) Charge(h *power.Harvester) (float64, error) {
+	active := probe.Enabled(r.Obs)
+	if active {
+		r.Obs.OutageBegin(h.Now())
+	}
+	off, err := h.ChargeUntilOn(r.MaxChargeWait)
+	if err != nil {
+		return 0, err
+	}
+	if active {
+		r.Obs.OutageEnd(h.Now(), off)
+	}
+	return off, nil
+}
+
+// Resume is the run loop: it continues the program from the committed
+// boundary r.C sits at, with cur holding the accounting up to there and
+// h charged (or nil for continuous power), and applies the
+// shutdown/restore/re-execute protocol on every outage. It returns when
+// the program completes (cur.Completed is set) or when converged, polled
+// at every committed boundary short of the end, reports true (cur holds
+// the accounting up to that boundary). Any replay after an outage is a
+// commit, so the first poll after an outage comes once the interrupted
+// instruction has been re-executed. A nil converged runs to completion.
+func (r *MachineRunner) Resume(h *power.Harvester, cur *Cursor, converged func() bool) error {
+	res := &cur.Result
 	dt := r.Model.CycleTime()
-	lastLevel := 0
 	pricer := newOpPricer(r.Model)
 	active := probe.Enabled(r.Obs)
-	now := 0.0 // continuous-power clock; h.Now() rules when h != nil
 
 	// Lend the observer to the machine for per-tile write events, unless
 	// the caller already wired one there.
@@ -220,28 +269,16 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 			defer func() { m.Obs = nil }()
 		}
 	}
+	// Under continuous power the clock is the powered time so far.
 	clock := func() float64 {
 		if h != nil {
 			return h.Now()
 		}
-		return now
+		return res.OnLatency
 	}
 
 	var window float64 // non-termination budget, invariant across outages
 	if h != nil {
-		if active {
-			r.Obs.OutageBegin(h.Now())
-		}
-		off, err := h.ChargeUntilOn(r.MaxChargeWait)
-		if err != nil {
-			return Result{Breakdown: b, Replays: replays}, err
-		}
-		b.OffLatency += off
-		if active {
-			r.Obs.OutageEnd(h.Now(), off)
-		}
-		// A successful charge means the harvester validated, so Cap is
-		// non-nil.
 		window = h.WindowEnergy()
 	}
 
@@ -249,7 +286,8 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 	for {
 		in, more := r.C.Peek()
 		if !more {
-			return Result{Breakdown: b, Replays: replays, Completed: true}, nil
+			res.Completed = true
+			return nil
 		}
 		op := r.opFor(in)
 		p := pricer.price(op)
@@ -262,22 +300,21 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 		if frac >= 1 {
 			done, err := r.C.Step()
 			if err != nil {
-				return Result{Breakdown: b, Replays: replays}, err
+				return err
 			}
 			if retry {
 				// Re-execution after a restart is Dead work (the paper's
 				// "repeating the last instruction on restart").
-				b.DeadEnergy += p.compute
-				b.DeadLatency += dt
-				replays++
+				res.DeadEnergy += p.compute
+				res.DeadLatency += dt
+				res.Replays++
 			} else {
-				b.ComputeEnergy += p.compute
+				res.ComputeEnergy += p.compute
 			}
-			b.BackupEnergy += p.backup
-			b.OnLatency += dt
-			b.Instructions++
+			res.BackupEnergy += p.backup
+			res.OnLatency += dt
+			res.Instructions++
 			if active {
-				now += dt
 				r.Obs.InstrRetired(probe.Instr{
 					T: clock(), Dur: dt, Kind: in.Kind, Gate: in.Gate,
 					Tile:   instrTile(in),
@@ -286,12 +323,16 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 				})
 			}
 			retry = false
-			if p.level >= 0 && p.level != lastLevel {
-				b.LevelSwitches++
-				lastLevel = p.level
+			if p.level >= 0 && p.level != cur.level {
+				res.LevelSwitches++
+				cur.level = p.level
 			}
 			if done {
-				return Result{Breakdown: b, Replays: replays, Completed: true}, nil
+				res.Completed = true
+				return nil
+			}
+			if converged != nil && converged() {
+				return nil
 			}
 			continue
 		}
@@ -299,13 +340,13 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 		// Outage mid-cycle: inject the failure at the matching µ-phase.
 		ph, partial := phaseFor(frac)
 		if err := r.C.StepWithFailure(ph, partial); !errors.Is(err, controller.ErrPowerFailure) {
-			return Result{Breakdown: b, Replays: replays}, fmt.Errorf("sim: expected injected power failure, got %v", err)
+			return fmt.Errorf("sim: expected injected power failure, got %v", err)
 		}
 		retry = true
-		b.DeadEnergy += e * frac
-		b.DeadLatency += dt * frac
-		b.OnLatency += dt * frac
-		b.Restarts++
+		res.DeadEnergy += e * frac
+		res.DeadLatency += dt * frac
+		res.OnLatency += dt * frac
+		res.Restarts++
 		if active {
 			r.Obs.PulseInterrupted(probe.Interrupt{
 				T: h.Now(), Frac: frac, Kind: in.Kind, Lost: e * frac,
@@ -313,21 +354,15 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 		}
 
 		if e > window+h.Src.Power(h.Now())*dt {
-			return Result{Breakdown: b, Replays: replays}, fmt.Errorf("%w (instruction needs %.3g J, window holds %.3g J)", ErrNonTermination, e, window)
+			return fmt.Errorf("%w (instruction needs %.3g J, window holds %.3g J)", ErrNonTermination, e, window)
 		}
 
 		r.C.PowerFail()
-		if active {
-			r.Obs.OutageBegin(h.Now())
-		}
-		off, err := h.ChargeUntilOn(r.MaxChargeWait)
+		off, err := r.Charge(h)
 		if err != nil {
-			return Result{Breakdown: b, Replays: replays}, err
+			return err
 		}
-		b.OffLatency += off
-		if active {
-			r.Obs.OutageEnd(h.Now(), off)
-		}
+		res.OffLatency += off
 
 		// Reboot: restore the column latches from the stored ACT.
 		restoreCols := 0
@@ -341,9 +376,9 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 		var spentE, spentT float64
 		for {
 			reFrac := h.Draw(dt, re)
-			b.RestoreEnergy += re * reFrac
-			b.RestoreLatency += dt * reFrac
-			b.OnLatency += dt * reFrac
+			res.RestoreEnergy += re * reFrac
+			res.RestoreLatency += dt * reFrac
+			res.OnLatency += dt * reFrac
 			spentE += re * reFrac
 			spentT += dt * reFrac
 			if reFrac >= 1 {
@@ -351,17 +386,11 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 			}
 			// Even the restore ran out; recharge and retry (re-issuing
 			// an ACT is itself idempotent).
-			if active {
-				r.Obs.OutageBegin(h.Now())
-			}
-			off, err := h.ChargeUntilOn(r.MaxChargeWait)
+			off, err := r.Charge(h)
 			if err != nil {
-				return Result{Breakdown: b, Replays: replays}, err
+				return err
 			}
-			b.OffLatency += off
-			if active {
-				r.Obs.OutageEnd(h.Now(), off)
-			}
+			res.OffLatency += off
 		}
 		if active {
 			r.Obs.Restored(probe.Restore{
@@ -369,7 +398,7 @@ func (r *MachineRunner) Run(h *power.Harvester) (Result, error) {
 			})
 		}
 		if err := r.C.Restart(); err != nil {
-			return Result{Breakdown: b, Replays: replays}, err
+			return err
 		}
 	}
 }
