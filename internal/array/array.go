@@ -231,19 +231,14 @@ func (t *Tile) WriteRowRot(row int, buf []byte, rot, upTo int) error {
 	if upTo <= 0 {
 		return nil
 	}
-	src := t.scratch
-	packBytes(src, buf, t.cols)
-	if rot != 0 {
-		rotlInto(t.scratch2, src, t.cols, rot)
-		src = t.scratch2
-	}
-	dst := t.rowWords(row)
 	if upTo >= t.cols {
-		copy(dst, src)
+		t.writeFull(row, buf, rot)
 		return nil
 	}
 	// Interrupted write: columns 0..upTo-1 take the new value, the rest
 	// keep theirs.
+	src := t.rotatedBuffer(buf, rot)
+	dst := t.rowWords(row)
 	for i := range dst {
 		var m uint64
 		switch base := i * wordBits; {
@@ -257,6 +252,41 @@ func (t *Tile) WriteRowRot(row int, buf []byte, rot, upTo int) error {
 	return nil
 }
 
+// rotatedBuffer packs buf into words and rotates it left by rot
+// columns, returning tile scratch that the next call overwrites.
+func (t *Tile) rotatedBuffer(buf []byte, rot int) []uint64 {
+	src := t.scratch
+	packBytes(src, buf, t.cols)
+	if rot != 0 {
+		rotlInto(t.scratch2, src, t.cols, rot)
+		src = t.scratch2
+	}
+	return src
+}
+
+// writeFull is the uninterrupted write behind WriteRowRot and
+// Machine.Replay: row takes buf rotated left by rot, with row, buffer
+// size and rotation already checked.
+func (t *Tile) writeFull(row int, buf []byte, rot int) {
+	copy(t.rowWords(row), t.rotatedBuffer(buf, rot))
+}
+
+// FillRow stores bit in every column of row, one word at a time — a
+// completed write of a constant row, for loaders that replicate one
+// value across the column broadcast.
+func (t *Tile) FillRow(row, bit int) {
+	t.checkCell(row, 0)
+	var w uint64
+	if bit != 0 {
+		w = ^uint64(0)
+	}
+	dst := t.rowWords(row)
+	for i := range dst {
+		dst[i] = w
+	}
+	dst[len(dst)-1] &= t.tail
+}
+
 // PresetRow writes state s into row across the active columns, the
 // preparation step before a logic operation. upTo limits how many of the
 // active columns complete (interruption model); pass the column count or
@@ -266,6 +296,10 @@ func (t *Tile) PresetRow(row int, s mtj.State, upTo int) error {
 		return err
 	}
 	if upTo <= 0 {
+		return nil
+	}
+	if upTo >= t.nActive {
+		t.presetFull(row, s == mtj.AP)
 		return nil
 	}
 	dst := t.rowWords(row)
@@ -290,6 +324,20 @@ func (t *Tile) PresetRow(row int, s mtj.State, upTo int) error {
 		need -= pc
 	}
 	return nil
+}
+
+// presetFull is the uninterrupted preset behind PresetRow and
+// Machine.Replay: every active column of row (already checked) takes AP
+// when ap, P otherwise.
+func (t *Tile) presetFull(row int, ap bool) {
+	dst := t.rowWords(row)
+	for i, w := range t.active {
+		if ap {
+			dst[i] |= w
+		} else {
+			dst[i] &^= w
+		}
+	}
 }
 
 // PulseLength describes how much of a logic operation's current pulse a
@@ -374,10 +422,24 @@ func (t *Tile) ExecLogicFull(g mtj.GateKind, inRows []int, outRow int) error {
 	if err != nil {
 		return err
 	}
+	var in [3]int
+	copy(in[:], inRows)
+	t.logicFull(spec.Inputs, tbl.MinSwitchP, tbl.Target == mtj.AP, &in, outRow)
+	return nil
+}
+
+// logicFull is the full-pulse word kernel behind ExecLogicFull and
+// Machine.Replay, keyed by the gate's threshold dispatch: the output
+// switches toward AP (toAP) or P in every active column where at least
+// minP of the nIn input rows are P (mtj.TruthTable.SwitchWord). Rows are
+// already checked.
+func (t *Tile) logicFull(nIn, minP int, toAP bool, inRows *[3]int, outRow int) {
+	if t.nActive == 0 {
+		return
+	}
 	out := t.rowWords(outRow)
-	toAP := tbl.Target == mtj.AP
 	var in0, in1, in2 []uint64
-	switch spec.Inputs {
+	switch nIn {
 	case 3:
 		in2 = t.rowWords(inRows[2])
 		fallthrough
@@ -395,25 +457,25 @@ func (t *Tile) ExecLogicFull(g mtj.GateKind, inRows []int, outRow int) error {
 		// threshold. Complemented planes count P (logic 0) inputs; tail
 		// garbage from the complement is cleared by the active mask.
 		var sw uint64
-		switch m := tbl.MinSwitchP; {
-		case m <= 0:
+		switch {
+		case minP <= 0:
 			sw = act
-		case m > spec.Inputs:
+		case minP > nIn:
 			sw = 0
 		default:
-			switch spec.Inputs {
+			switch nIn {
 			case 1:
 				sw = ^in0[i]
 			case 2:
 				pa, pb := ^in0[i], ^in1[i]
-				if m == 1 {
+				if minP == 1 {
 					sw = pa | pb
 				} else {
 					sw = pa & pb
 				}
 			case 3:
 				pa, pb, pc := ^in0[i], ^in1[i], ^in2[i]
-				switch m {
+				switch minP {
 				case 1:
 					sw = pa | pb | pc
 				case 2:
@@ -430,7 +492,6 @@ func (t *Tile) ExecLogicFull(g mtj.GateKind, inRows []int, outRow int) error {
 			out[i] &^= sw
 		}
 	}
-	return nil
 }
 
 func (t *Tile) checkRow(row int) error {

@@ -45,6 +45,21 @@ func TestTileBits(t *testing.T) {
 	}
 }
 
+// TestFillRow: a word fill equals one SetBit per column, across a word
+// edge, and leaves the bits beyond the tile width clear.
+func TestFillRow(t *testing.T) {
+	filled, set := testTile(t, 4, 70), testTile(t, 4, 70)
+	for _, bit := range []int{1, 0, 1} {
+		filled.FillRow(2, bit)
+		for c := 0; c < 70; c++ {
+			set.SetBit(2, c, bit)
+		}
+		if !filled.stateEqual(set) {
+			t.Fatalf("FillRow(2, %d) differs from per-column SetBit", bit)
+		}
+	}
+}
+
 func TestReadWriteRow(t *testing.T) {
 	tile := testTile(t, 4, 16)
 	data := []byte{0xA5, 0x3C}

@@ -3,6 +3,7 @@ package array
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mouse/internal/isa"
@@ -113,7 +114,9 @@ func requireLaneEqual(t *testing.T, b *BatchMachine, lane int, want *Machine) {
 // runBatchedVsSequential is the shared differential harness: lanes
 // random initial states, one random program, executed lane-by-lane on
 // fresh scalar machines (the k-th sequential run) and once on the batch
-// machine; every lane must match byte for byte.
+// machine; every lane must match byte for byte. Each lane's initial
+// state is also replayed on the packed Machine, which must end in
+// exactly the state Exec reaches: cells, buffer and activation latches.
 func runBatchedVsSequential(t *testing.T, seed int64, lanes, progLen int) {
 	t.Helper()
 	cfg := mtj.ModernSTT()
@@ -126,10 +129,13 @@ func runBatchedVsSequential(t *testing.T, seed int64, lanes, progLen int) {
 
 	b := NewBatchMachine(batchTestTiles, batchTestRows, batchTestCols)
 	seq := make([]*Machine, lanes)
+	packed := make([]*Machine, lanes)
 	for lane := 0; lane < lanes; lane++ {
 		m := NewMachine(cfg, batchTestTiles, batchTestRows, batchTestCols)
 		seedLane(rng, m, b, lane)
 		seq[lane] = m
+		packed[lane] = NewMachine(cfg, batchTestTiles, batchTestRows, batchTestCols)
+		packed[lane].CopyStateFrom(m)
 	}
 	for lane, m := range seq {
 		for i, in := range prog {
@@ -137,6 +143,10 @@ func runBatchedVsSequential(t *testing.T, seed int64, lanes, progLen int) {
 				t.Fatalf("lane %d: instruction %d (%v): %v", lane, i, in, err)
 			}
 		}
+		if err := packed[lane].Replay(flat); err != nil {
+			t.Fatal(err)
+		}
+		requirePackedEqual(t, packed[lane], lane, m)
 	}
 	if err := b.Replay(flat); err != nil {
 		t.Fatal(err)
@@ -144,6 +154,32 @@ func runBatchedVsSequential(t *testing.T, seed int64, lanes, progLen int) {
 	for lane, m := range seq {
 		requireLaneEqual(t, b, lane, m)
 	}
+}
+
+// requirePackedEqual compares a packed replay's full state — cells,
+// activation latches with their cached counts, buffer — against the
+// sequentially-run machine.
+func requirePackedEqual(t *testing.T, got *Machine, lane int, want *Machine) {
+	t.Helper()
+	if got.StateEqual(want) {
+		return
+	}
+	for ti, wt := range want.Tiles {
+		gt := got.Tiles[ti]
+		for r := 0; r < wt.Rows(); r++ {
+			for c := 0; c < wt.Cols(); c++ {
+				if wt.Bit(r, c) != gt.Bit(r, c) {
+					t.Fatalf("lane %d: tile %d cell (%d, %d): sequential %d, packed replay %d",
+						lane, ti, r, c, wt.Bit(r, c), gt.Bit(r, c))
+				}
+			}
+		}
+		if !slices.Equal(wt.ActiveColumns(), gt.ActiveColumns()) || wt.ActiveCount() != gt.ActiveCount() {
+			t.Fatalf("lane %d: tile %d: active %v (sequential) vs %v (packed replay)",
+				lane, ti, wt.ActiveColumns(), gt.ActiveColumns())
+		}
+	}
+	t.Fatalf("lane %d: buffer % x (sequential) vs % x (packed replay)", lane, want.Buffer, got.Buffer)
 }
 
 // FuzzBatchedVsSequential: for random gate streams and batch sizes
@@ -159,6 +195,19 @@ func FuzzBatchedVsSequential(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rawLanes uint8) {
 		lanes := int(rawLanes)%MaxLanes + 1
 		runBatchedVsSequential(t, seed, lanes, 48)
+	})
+}
+
+// FuzzPackedReplayVsSequential: the packed Machine.Replay must reach
+// exactly Exec's state on random gate streams of every length up to
+// 255 — one lane of the shared harness, so the program, not the lane
+// count, is what varies.
+func FuzzPackedReplayVsSequential(f *testing.F) {
+	f.Add(int64(1), uint8(1))
+	f.Add(int64(2), uint8(48))
+	f.Add(int64(3), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, progLen uint8) {
+		runBatchedVsSequential(t, seed, 1, int(progLen)+1)
 	})
 }
 
@@ -249,6 +298,14 @@ func TestBatchReplayRejectsWrongGeometry(t *testing.T) {
 	}
 	if err := NewBatchMachine(2, 8, 8).Replay(flat); err == nil {
 		t.Fatal("replay accepted a mismatched tile count")
+	}
+	for _, m := range []*Machine{NewMachine(cfg, 1, 8, 16), NewMachine(cfg, 1, 16, 8), NewMachine(cfg, 2, 8, 8)} {
+		if err := m.Replay(flat); err == nil {
+			t.Fatalf("packed replay accepted a %dx%dx%d machine", len(m.Tiles), m.Tiles[0].Rows(), m.Tiles[0].Cols())
+		}
+	}
+	if err := NewMachine(cfg, 1, 8, 8).Replay(flat); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 	"mouse/internal/mtj"
 )
 
-// TestBNNBatchMatchesSequential: the lane-sliced engine must classify
-// exactly like the sequential column-batch path, including when the
-// sample count spills across lanes and leaves the last lane partially
-// filled, and across back-to-back batches on the unreset arena.
+// TestBNNBatchMatchesSequential: the engine must classify exactly like
+// the sequential column-batch path and the golden network at batch
+// sizes on both sides of its packed/lane crossover — one sample, the
+// column-batch edges, the crossover ±1 column batch, and capacity —
+// on one reused (unreset) engine whose consecutive batches alternate
+// between the packed machine and the lane arena and shift through the
+// sample pool.
 func TestBNNBatchMatchesSequential(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	ds := tinyBinSet(43, 16, 3, 30)
@@ -18,7 +21,7 @@ func TestBNNBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cols = 4
+	const cols = 70 // two words per row: the packed kernels cross a word edge
 	mp, err := CompileMapping(net, 1024, cols)
 	if err != nil {
 		t.Fatal(err)
@@ -30,41 +33,44 @@ func TestBNNBatchMatchesSequential(t *testing.T) {
 	if eng.Capacity() != cols*64 {
 		t.Fatalf("capacity %d, want %d", eng.Capacity(), cols*64)
 	}
+	cost := eng.Cost()
+	crossover := cost.Lane / cost.Packed // most packed passes
+	if crossover < 2 || crossover >= 64 {
+		t.Fatalf("cost %+v puts the crossover at %d passes", cost, crossover)
+	}
+	c := crossover * cols
+	sizes := []int{1, eng.Capacity(), cols - 1, c + cols, cols, c + 1, cols + 1, c - cols, c}
 	mach := mp.NewMachine(cfg, 1024)
 
 	var pool [][]int
-	for i := 0; len(pool) < 90; i++ {
+	for i := 0; len(pool) < eng.Capacity()+len(sizes); i++ {
 		pool = append(pool, ds.Test[i%len(ds.Test)].X)
 	}
-	next := 0
-	// 1 (single sample), cols (one full lane), cols+1 and 2·cols+3
-	// (partial last lane), 64 (many lanes).
-	for _, size := range []int{1, cols, cols + 1, 2*cols + 3, 64} {
-		batch := pool[next : next+size]
-		next += size
+	// Sequential reference: the existing column-batch path, cols
+	// samples per controller run, over the whole pool.
+	want := make([]int, 0, len(pool))
+	for start := 0; start < len(pool); start += cols {
+		got, err := mp.ClassifyBatch(mach, net, pool[start:min(start+cols, len(pool))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, got...)
+	}
+	for k, size := range sizes {
+		packed := cost.PreferPacked(eng.Passes(size))
+		if packed != (size <= c) {
+			t.Fatalf("batch %d: packed %v, crossover at %d samples", size, packed, c)
+		}
+		batch := pool[k : k+size]
 		got, err := eng.ClassifyBatch(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Sequential reference: the existing column-batch path, cols
-		// samples per controller run.
-		for start := 0; start < len(batch); start += cols {
-			end := start + cols
-			if end > len(batch) {
-				end = len(batch)
-			}
-			want, err := mp.ClassifyBatch(mach, net, batch[start:end])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want {
-				if got[start+i] != w {
-					t.Fatalf("batch %d sample %d: batched class %d, sequential %d", size, start+i, got[start+i], w)
-				}
-			}
-		}
-		// And directly against the golden network model.
 		for i, x := range batch {
+			if got[i] != want[k+i] {
+				t.Fatalf("batch %d (packed %v) sample %d: batched class %d, sequential %d", size, packed, i, got[i], want[k+i])
+			}
+			// And directly against the golden network model.
 			scores := net.Scores(x)
 			best := 0
 			for c, s := range scores {
@@ -103,8 +109,11 @@ func TestBNNBatch8BitInputs(t *testing.T) {
 	for i := range samples {
 		samples[i] = ds.Test[i%len(ds.Test)].X
 	}
-	got, err := eng.ClassifyBatch(samples)
-	if err != nil {
+	packed, lanes := make([]int, len(samples)), make([]int, len(samples))
+	if err := eng.ClassifyPackedInto(packed, samples); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ClassifyLanesInto(lanes, samples); err != nil {
 		t.Fatal(err)
 	}
 	for start := 0; start < len(samples); start += cols {
@@ -117,8 +126,8 @@ func TestBNNBatch8BitInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, w := range want {
-			if got[start+i] != w {
-				t.Fatalf("sample %d: batched class %d, sequential %d", start+i, got[start+i], w)
+			if packed[start+i] != w || lanes[start+i] != w {
+				t.Fatalf("sample %d: class %d packed, %d lanes, sequential %d", start+i, packed[start+i], lanes[start+i], w)
 			}
 		}
 	}

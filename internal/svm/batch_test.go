@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"slices"
 	"testing"
 
 	"mouse/internal/mtj"
@@ -35,8 +36,11 @@ func batchFixture(t *testing.T, argmax bool) (*ParallelMapping, *IntModel, [][]i
 }
 
 // TestSVMBatchMatchesSequential: batched classification and scores must
-// equal the sequential controller path sample for sample, across batch
-// sizes and across back-to-back batches on the same (unreset) arena.
+// equal the sequential controller path sample for sample at every batch
+// size 1–64, on one reused (unreset) engine whose consecutive batches
+// alternate between the packed machine and the lane arena and shift
+// through the sample pool — state leaking from one machine's run into
+// the other's shows up as a wrong score.
 func TestSVMBatchMatchesSequential(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	mp, _, samples := batchFixture(t, false)
@@ -44,11 +48,30 @@ func TestSVMBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost := eng.Cost()
+	if !cost.PreferPacked(1) || cost.PreferPacked(64) {
+		t.Fatalf("cost %+v does not put the crossover inside [1, 64]", cost)
+	}
 	mach := mp.NewMachine(cfg, 1024)
-	next := 0
-	for _, size := range []int{1, 3, 64, 12} {
-		batch := samples[next : next+size]
-		next += size
+	wantScores := make([][]int64, len(samples))
+	want := make([]int, len(samples))
+	for i, x := range samples {
+		if wantScores[i], err = mp.Scores(mach, x); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = mp.Classify(mach, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sizes 1, 64, 2, 63, ...: small batches run packed, large ones on
+	// the lane arena.
+	for k := 0; k < 64; k++ {
+		size := k/2 + 1
+		if k%2 == 1 {
+			size = 64 - k/2
+		}
+		off := k % (len(samples) - size + 1)
+		batch := samples[off : off+size]
 		scores, err := eng.ScoresBatch(batch)
 		if err != nil {
 			t.Fatal(err)
@@ -57,26 +80,14 @@ func TestSVMBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, x := range batch {
-			wantScores, err := mp.Scores(mach, x)
-			if err != nil {
-				t.Fatal(err)
+		for i := range batch {
+			if !slices.Equal(scores[i], wantScores[off+i]) {
+				t.Fatalf("batch %d (packed %v) sample %d: batched scores %v, sequential %v",
+					size, cost.PreferPacked(size), i, scores[i], wantScores[off+i])
 			}
-			if len(scores[i]) != len(wantScores) {
-				t.Fatalf("batch %d sample %d: %d scores, want %d", size, i, len(scores[i]), len(wantScores))
-			}
-			for c := range wantScores {
-				if scores[i][c] != wantScores[c] {
-					t.Fatalf("batch %d sample %d class %d: batched score %d, sequential %d",
-						size, i, c, scores[i][c], wantScores[c])
-				}
-			}
-			want, err := mp.Classify(mach, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Fatalf("batch %d sample %d: batched class %d, sequential %d", size, i, got[i], want)
+			if got[i] != want[off+i] {
+				t.Fatalf("batch %d (packed %v) sample %d: batched class %d, sequential %d",
+					size, cost.PreferPacked(size), i, got[i], want[off+i])
 			}
 		}
 	}
@@ -93,8 +104,11 @@ func TestSVMBatchArgmaxMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := mp.NewMachine(cfg, 1024)
-	got, err := eng.ClassifyBatch(samples[:32])
-	if err != nil {
+	packed, lanes := make([]int, 32), make([]int, 32)
+	if err := eng.ClassifyPackedInto(packed, samples[:32]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ClassifyLanesInto(lanes, samples[:32]); err != nil {
 		t.Fatal(err)
 	}
 	for i, x := range samples[:32] {
@@ -102,8 +116,8 @@ func TestSVMBatchArgmaxMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i] != want {
-			t.Fatalf("sample %d: batched argmax class %d, sequential %d", i, got[i], want)
+		if packed[i] != want || lanes[i] != want {
+			t.Fatalf("sample %d: argmax class %d packed, %d lanes, sequential %d", i, packed[i], lanes[i], want)
 		}
 	}
 }

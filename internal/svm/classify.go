@@ -18,17 +18,15 @@ func (m *ParallelMapping) NewMachine(cfg *mtj.Config, rows int) *array.Machine {
 	return array.NewMachine(cfg, 1, rows, m.Columns)
 }
 
-// LoadInput writes the input vector into every column of the machine.
+// LoadInput writes the input vector into every column of the machine,
+// one whole row per input bit.
 func (m *ParallelMapping) LoadInput(mach *array.Machine, x []int) error {
 	if len(x) != len(m.InputRows) {
 		return fmt.Errorf("svm: input has %d features, mapping expects %d", len(x), len(m.InputRows))
 	}
 	for j, rows := range m.InputRows {
 		for bi, row := range rows {
-			bit := (x[j] >> bi) & 1
-			for col := 0; col < m.Columns; col++ {
-				mach.Tiles[0].SetBit(row, col, bit)
-			}
+			mach.Tiles[0].FillRow(row, (x[j]>>bi)&1)
 		}
 	}
 	return nil
