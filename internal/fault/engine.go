@@ -35,9 +35,14 @@ type Options struct {
 	// Sweep forks each run from the golden state where its crash lands,
 	// so Obs sees the initial charge and the simulated suffix (the
 	// crash, recovery and replay up to re-convergence), not the golden
-	// prefix; Inject and the trace layer report whole runs. It is shared
-	// across concurrent workers, so it must be concurrency-safe (like
-	// probe.Stats).
+	// prefix; Inject and the trace layer report whole runs. Per
+	// injection the order is: the fault event, the initial charge's
+	// OutageBegin and OutageEnd, then the suffix. A worker charges a
+	// group of points before forking any of them, so a point's charge
+	// events are emitted, with their recorded times, just before its
+	// suffix. One worker's injections arrive in order of their energy
+	// windows. Obs is shared across concurrent workers, so it must be
+	// concurrency-safe (like probe.Stats).
 	Obs probe.Observer
 }
 
@@ -88,16 +93,21 @@ func checkPoint(p Point, g *Golden) error {
 
 // injector schedules p's outage: it returns p's energy window, the
 // injector realizing it, and the observer the injected run reports to
-// (the injector, joined by obs when enabled, after announcing the
-// injection to it).
+// (see announce).
 func (g *Golden) injector(p Point, obs probe.Observer) (float64, *Injector, probe.Observer) {
 	windowJ := g.windowFor(p)
 	inj := NewInjector(windowJ, g.recoverW)
+	return windowJ, inj, announce(p, windowJ, inj, obs)
+}
+
+// announce reports injection p to obs, when enabled, and returns the
+// observer the injected run reports to: the injector, joined by obs.
+func announce(p Point, windowJ float64, inj *Injector, obs probe.Observer) probe.Observer {
 	if !probe.Enabled(obs) {
-		return windowJ, inj, inj
+		return inj
 	}
 	probe.EmitFault(obs, probe.Fault{Index: p.Index, Frac: p.Frac, WindowJ: windowJ})
-	return windowJ, inj, probe.Multi{inj, obs}
+	return probe.Multi{inj, obs}
 }
 
 // Inject runs one scheduled crash of the machine workload against the

@@ -80,8 +80,21 @@ const (
 // sized so that a full buffer holds exactly WindowJ above the shutdown
 // voltage, supplied by the injector itself.
 func (inj *Injector) Harvester() *power.Harvester {
-	c := 2 * inj.WindowJ / (injVOn*injVOn - injVOff*injVOff)
-	return power.NewHarvester(inj, c, injVOff, injVOn)
+	return power.NewHarvester(inj, inj.capacitance(), injVOff, injVOn)
+}
+
+// harvesterIn builds the harvester Harvester returns into caller-owned
+// storage, so the fork engine reuses one per drain lane instead of
+// allocating one per injection point.
+func (inj *Injector) harvesterIn(h *power.Harvester, c *power.Capacitor) {
+	*c = power.Capacitor{C: inj.capacitance()}
+	*h = power.Harvester{Src: inj, Cap: c, VOff: injVOff, VOn: injVOn, VMax: injVOn}
+}
+
+// capacitance sizes the buffer so that a full one holds exactly WindowJ
+// above the shutdown voltage.
+func (inj *Injector) capacitance() float64 {
+	return 2 * inj.WindowJ / (injVOn*injVOn - injVOff*injVOff)
 }
 
 // Power implements power.Source: zero while armed, RecoverW otherwise.
