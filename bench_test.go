@@ -55,7 +55,7 @@ func BenchmarkTableIII(b *testing.B) {
 func BenchmarkTableIV(b *testing.B) {
 	var rows []bench.TableIVRow
 	for i := 0; i < b.N; i++ {
-		rows = bench.ComputeTableIV(0)
+		rows = bench.ComputeTableIV(0, nil)
 	}
 	for _, r := range rows {
 		if r.System == "MOUSE SVM (Modern STT)" && r.Benchmark == "SVM MNIST (Bin)" {
@@ -87,7 +87,7 @@ func benchmarkFig9(b *testing.B, cfg *mtj.Config) {
 	var points []bench.Fig9Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		points, err = bench.ComputeFig9(cfg, powers, 0)
+		points, err = bench.ComputeFig9(cfg, powers, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func BenchmarkFig9SHE(b *testing.B)          { benchmarkFig9(b, mtj.ProjectedSHE
 func benchmarkFig9Sweep(b *testing.B, workers int) {
 	cfg := mtj.ModernSTT()
 	for i := 0; i < b.N; i++ {
-		points, err := bench.ComputeFig9(cfg, bench.Powers(), workers)
+		points, err := bench.ComputeFig9(cfg, bench.Powers(), workers, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func benchmarkBreakdown(b *testing.B, cfg *mtj.Config) {
 	var rows []bench.BreakdownRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.ComputeBreakdown(cfg, 60e-6, 0)
+		rows, err = bench.ComputeBreakdown(cfg, 60e-6, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkCrossover(b *testing.B) {
 	var p float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		p, err = bench.CrossoverPowerW(mtj.ModernSTT(), 0)
+		p, err = bench.CrossoverPowerW(mtj.ModernSTT(), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func BenchmarkCompileMultiplier(b *testing.B) {
 func BenchmarkSONICModel(b *testing.B) {
 	_ = io.Discard
 	for i := 0; i < b.N; i++ {
-		pts, err := bench.ComputeFig9(mtj.ModernSTT(), []float64{5e-3}, 0)
+		pts, err := bench.ComputeFig9(mtj.ModernSTT(), []float64{5e-3}, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -588,7 +588,7 @@ func BenchmarkFFTComparison(b *testing.B) {
 	var rows []bench.FFTRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.ComputeFFT(0)
+		rows, err = bench.ComputeFFT(0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

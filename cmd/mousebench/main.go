@@ -17,6 +17,9 @@
 // stdout, e.g. `mousebench -json -out BENCH.json` to record a
 // perf-trajectory snapshot.
 //
+// Table mode and -json run the same report build; the tables are a
+// rendering of the report's rows.
+//
 // -telemetry attaches a shared probe.Stats observer to every simulation
 // the selected experiments run: with -json the report gains the
 // optional "telemetry" section (replays, outage durations, energy by
@@ -27,17 +30,18 @@
 // bytes untouched — useful when `-experiment all` takes a while and the
 // tables only appear at the end.
 //
-// -batch N runs only the batch-inference throughput experiment with N
-// bit-slice lanes (1–64): every hot workload is replayed through the
-// bit-sliced batch engine and timed against the sequential controller
-// path, reporting host ns/inference for both. Without the flag the
-// registry's batch experiment runs at the full 64 lanes.
+// -batch N runs only the batch experiment, with N bit-slice lanes
+// (1–64) and its wall-clock columns shown: every hot workload is
+// replayed through the bit-sliced batch engine and timed against the
+// sequential controller path, reporting host ns/inference for both.
+// Without the flag the registry's batch experiment runs at the full 64
+// lanes and its table prints only the deterministic columns.
 //
-// -fleet runs only the fleet serving experiment with its host-latency
-// percentiles included: every hot workload is served through an
-// internal/fleet inference fleet under continuous and harvested power,
-// reporting p50/p99/mean ms per request. The registry's fleet
-// experiment prints only the deterministic outcome counters.
+// -fleet runs only the fleet experiment, with its wall-clock columns
+// shown: every hot workload is served through an internal/fleet
+// inference fleet under continuous and harvested power, reporting
+// p50/p99/mean ms per request. Without the flag the fleet table prints
+// only the deterministic outcome counters.
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (CPU sampled across the run; heap captured at the end),
@@ -85,18 +89,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mousebench:", err)
 		os.Exit(1)
 	}
-	progressTo := io.Writer(nil)
+	opts := bench.Options{Workers: *parallel}
 	if *progress {
-		progressTo = os.Stderr
+		opts.Progress = bench.NewProgressWriter(os.Stderr)
 	}
-	var runErr error
+	name, wallClock := *experiment, false
 	if *batchLanes != 0 {
-		runErr = bench.RunBatch(out, *batchLanes, *parallel, *asJSON)
+		name, wallClock, opts.Lanes = "batch", true, *batchLanes
 	} else if *fleetOnly {
-		runErr = bench.RunFleet(out, *parallel, *asJSON)
-	} else {
-		runErr = runExperiments(*experiment, out, progressTo, *parallel, *asJSON, *telemetry)
+		name, wallClock = "fleet", true
 	}
+	runErr := runExperiments(out, name, opts, *asJSON, *telemetry, wallClock)
 	if err := stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "mousebench:", err)
 		os.Exit(1)
@@ -144,38 +147,26 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-// runExperiments executes the selected experiment (or all of them) with
-// the given sweep-worker bound, writing tables — or, with asJSON, the
-// structured report — to out. telemetry attaches a shared probe.Stats
-// to every simulation and reports its totals. A non-nil progressTo
-// receives one live line per experiment start/finish (the -progress
-// stderr feed); it never receives table or report bytes.
-func runExperiments(experiment string, out, progressTo io.Writer, workers int, asJSON, telemetry bool) error {
-	var prog bench.Progress
-	if progressTo != nil {
-		prog = bench.NewProgressWriter(progressTo)
+// runExperiments builds the report of the selected experiment (or all
+// of them) and writes it to out: as JSON with asJSON, otherwise as
+// tables, with the batch and fleet wall-clock columns when wallClock is
+// set. telemetry attaches a shared probe.Stats to every simulation and
+// reports its totals. Progress events (o.Progress) never reach out.
+func runExperiments(out io.Writer, experiment string, o bench.Options, asJSON, telemetry, wallClock bool) error {
+	var stats *probe.Stats
+	if telemetry {
+		stats = &probe.Stats{}
+		o.Obs = stats
+	}
+	rep, err := bench.BuildReport(experiment, o)
+	if err != nil {
+		return err
+	}
+	if stats != nil {
+		rep.Telemetry = stats.Section()
 	}
 	if asJSON {
-		var rep *bench.Report
-		var err error
-		if telemetry {
-			rep, err = bench.BuildTelemetryReportProgress(experiment, workers, prog)
-		} else {
-			rep, err = bench.BuildReportProgress(experiment, workers, prog)
-		}
-		if err != nil {
-			return err
-		}
 		return rep.WriteJSON(out)
 	}
-	if telemetry {
-		stats := &probe.Stats{}
-		if err := bench.RunPrintedProgress(out, experiment, workers, prog, stats); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		fmt.Fprintln(out, "Telemetry — totals across every simulation above")
-		return stats.Section().WriteSummary(out)
-	}
-	return bench.RunPrintedProgress(out, experiment, workers, prog)
+	return bench.PrintTables(out, rep, wallClock)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +27,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	for exp, want := range cases {
 		var out bytes.Buffer
-		if err := runExperiments(exp, &out, nil, 1, false, false); err != nil {
+		if err := runExperiments(&out, exp, bench.Options{Workers: 1}, false, false, false); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 		if !strings.Contains(out.String(), want) {
@@ -36,10 +38,10 @@ func TestRunSingleExperiments(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	if err := runExperiments("frobnicate", &out, nil, 1, false, false); err == nil {
+	if err := runExperiments(&out, "frobnicate", bench.Options{Workers: 1}, false, false, false); err == nil {
 		t.Fatalf("unknown experiment accepted")
 	}
-	if err := runExperiments("frobnicate", &out, nil, 1, true, false); err == nil {
+	if err := runExperiments(&out, "frobnicate", bench.Options{Workers: 1}, true, false, false); err == nil {
 		t.Fatalf("unknown experiment accepted in JSON mode")
 	}
 }
@@ -50,7 +52,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // exactly one blank line.
 func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 	var single bytes.Buffer
-	if err := runExperiments("table2", &single, nil, 1, false, false); err != nil {
+	if err := runExperiments(&single, "table2", bench.Options{Workers: 1}, false, false, false); err != nil {
 		t.Fatal(err)
 	}
 	out := single.String()
@@ -68,7 +70,7 @@ func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 		if i > 0 {
 			stitched.WriteString("\n")
 		}
-		if err := runExperiments(exp, &stitched, nil, 1, false, false); err != nil {
+		if err := runExperiments(&stitched, exp, bench.Options{Workers: 1}, false, false, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,29 +79,46 @@ func TestOutputIsExactlyTheSelectedExperiment(t *testing.T) {
 	}
 }
 
-// TestDeterministicTables runs the full experiment suite twice, serial
-// and parallel, and requires byte-identical table output: goroutine
-// scheduling in the sweep engine must not leak into results.
+// TestDeterministicTables runs the full experiment suite serially and
+// in parallel and requires both outputs to match testdata/tables.golden
+// byte for byte: goroutine scheduling in the sweep engine must not leak
+// into results, and no change may move a reproduced number or a table's
+// layout unnoticed. A change that means to alter the tables regenerates
+// the file with
+//
+//	go run ./cmd/mousebench -experiment all -parallel 1 > cmd/mousebench/testdata/tables.golden
 func TestDeterministicTables(t *testing.T) {
-	render := func(workers int) string {
+	golden, err := os.ReadFile("testdata/tables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
 		var out bytes.Buffer
-		if err := runExperiments("all", &out, nil, workers, false, false); err != nil {
+		if err := runExperiments(&out, "all", bench.Options{Workers: workers}, false, false, false); err != nil {
 			t.Fatal(err)
 		}
-		return out.String()
+		if got := out.String(); got != string(golden) {
+			t.Errorf("-parallel %d tables differ from testdata/tables.golden:\n%s", workers, firstDiff(got, string(golden)))
+		}
 	}
-	serial := render(1)
-	again := render(1)
-	parallel := render(8)
-	if serial != again {
-		t.Errorf("two serial runs differ")
+}
+
+// firstDiff describes the first line where got and want disagree.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, gl, wl)
+		}
 	}
-	if serial != parallel {
-		t.Errorf("-parallel 8 output differs from -parallel 1")
-	}
-	if !strings.Contains(serial, "Fig. 12") || !strings.Contains(serial, "crossover") {
-		t.Errorf("full run missing experiments")
-	}
+	return "(identical lines)"
 }
 
 // TestDeterministicJSONReports builds the full JSON report serially and
@@ -107,7 +126,7 @@ func TestDeterministicTables(t *testing.T) {
 // encodings byte-identical.
 func TestDeterministicJSONReports(t *testing.T) {
 	build := func(workers int) (*bench.Report, []byte) {
-		rep, err := bench.BuildReport("all", workers)
+		rep, err := bench.BuildReport("all", bench.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,15 +148,17 @@ func TestDeterministicJSONReports(t *testing.T) {
 }
 
 // TestProgressLeavesStdoutIdentical pins the -progress contract: the
-// live feed goes only to its own writer, and stdout bytes are identical
-// with progress on or off, in both table and JSON mode.
+// live feed goes only to its own writer, stdout bytes are identical
+// with progress on or off, and the feed reports real row counts, in
+// both table and JSON mode.
 func TestProgressLeavesStdoutIdentical(t *testing.T) {
 	for _, asJSON := range []bool{false, true} {
 		var plain, withProg, feed bytes.Buffer
-		if err := runExperiments("table2", &plain, nil, 1, asJSON, false); err != nil {
+		if err := runExperiments(&plain, "table2", bench.Options{Workers: 1}, asJSON, false, false); err != nil {
 			t.Fatal(err)
 		}
-		if err := runExperiments("table2", &withProg, &feed, 1, asJSON, false); err != nil {
+		o := bench.Options{Workers: 1, Progress: bench.NewProgressWriter(&feed)}
+		if err := runExperiments(&withProg, "table2", o, asJSON, false, false); err != nil {
 			t.Fatal(err)
 		}
 		if asJSON {
@@ -158,32 +179,48 @@ func TestProgressLeavesStdoutIdentical(t *testing.T) {
 		}
 		got := feed.String()
 		if !strings.Contains(got, "mousebench: [1/1] table2 ...") ||
-			!strings.Contains(got, "mousebench: [1/1] table2 done") {
+			!strings.Contains(got, "mousebench: [1/1] table2 done: 4 rows") {
 			t.Errorf("json=%v: progress feed missing lifecycle lines:\n%s", asJSON, got)
 		}
 	}
 }
 
-// TestReportCarriesRunMeta checks the optional meta section: stamped by
-// report builds, stripped by Normalize.
+// TestReportCarriesRunMeta checks the optional meta section: stamped on
+// every report mousebench -json writes — the -batch N and -fleet views
+// included — and stripped by Normalize.
 func TestReportCarriesRunMeta(t *testing.T) {
-	rep, err := bench.BuildReport("table2", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Meta == nil || rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS < 1 {
-		t.Fatalf("meta not stamped: %+v", rep.Meta)
-	}
-	rep.Normalize()
-	if rep.Meta != nil {
-		t.Errorf("Normalize left the meta section")
+	for _, view := range []struct {
+		experiment string
+		lanes      int
+		wallClock  bool
+	}{
+		{"table2", 0, false},
+		{"batch", 2, true}, // mousebench -batch 2 -json
+		{"fleet", 0, true}, // mousebench -fleet -json
+	} {
+		var out bytes.Buffer
+		o := bench.Options{Workers: 1, Lanes: view.lanes}
+		if err := runExperiments(&out, view.experiment, o, true, false, view.wallClock); err != nil {
+			t.Fatal(err)
+		}
+		var rep bench.Report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Meta == nil || rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS < 1 {
+			t.Fatalf("%s: meta not stamped: %+v", view.experiment, rep.Meta)
+		}
+		rep.Normalize()
+		if rep.Meta != nil {
+			t.Errorf("%s: Normalize left the meta section", view.experiment)
+		}
 	}
 }
 
 // TestJSONModeEmitsValidReport exercises the -json path end to end.
 func TestJSONModeEmitsValidReport(t *testing.T) {
 	var out bytes.Buffer
-	if err := runExperiments("table3", &out, nil, 2, true, false); err != nil {
+	if err := runExperiments(&out, "table3", bench.Options{Workers: 2}, true, false, false); err != nil {
 		t.Fatal(err)
 	}
 	var rep bench.Report

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"mouse/internal/bench"
-	"mouse/internal/probe"
 )
 
 // stubReport swaps the buildReport seam for the test and restores it on
 // cleanup. Tests in this package run sequentially, so the package var
 // is safe to swap.
-func stubReport(t *testing.T, fn func(string, int, ...probe.Observer) (*bench.Report, error)) {
+func stubReport(t *testing.T, fn func(string, bench.Options) (*bench.Report, error)) {
 	t.Helper()
 	old := buildReport
 	buildReport = fn
@@ -27,7 +26,7 @@ func stubReport(t *testing.T, fn func(string, int, ...probe.Observer) (*bench.Re
 // first experiment's count — and an empty report must not panic.
 func TestRunsSumsMultiExperimentRows(t *testing.T) {
 	s := newTestServer(t, 1, 1)
-	stubReport(t, func(string, int, ...probe.Observer) (*bench.Report, error) {
+	stubReport(t, func(string, bench.Options) (*bench.Report, error) {
 		return &bench.Report{Experiments: []bench.ExperimentReport{
 			{Name: "a", Rows: []int{1, 2, 3}},
 			{Name: "b", Rows: []int{4, 5}},
@@ -41,7 +40,7 @@ func TestRunsSumsMultiExperimentRows(t *testing.T) {
 		t.Errorf("multi-experiment run recorded %d rows, want 5 (3+2)", rows)
 	}
 
-	stubReport(t, func(string, int, ...probe.Observer) (*bench.Report, error) {
+	stubReport(t, func(string, bench.Options) (*bench.Report, error) {
 		return &bench.Report{}, nil
 	})
 	s.runOne("all", 0, 1) // must not panic on rep.Experiments[0]
@@ -57,7 +56,7 @@ func TestRunsSumsMultiExperimentRows(t *testing.T) {
 // moused_runs_active inflated forever.
 func TestActiveGaugeSurvivesPanic(t *testing.T) {
 	s := newTestServer(t, 1, 1)
-	stubReport(t, func(string, int, ...probe.Observer) (*bench.Report, error) {
+	stubReport(t, func(string, bench.Options) (*bench.Report, error) {
 		panic("experiment exploded")
 	})
 	func() {
@@ -87,7 +86,7 @@ func (failingListener) Addr() net.Addr            { return &net.TCPAddr{IP: net.
 // never exited.
 func TestServeHTTPReturnsOnListenerError(t *testing.T) {
 	s := newTestServer(t, 1, 1)
-	stubReport(t, func(string, int, ...probe.Observer) (*bench.Report, error) {
+	stubReport(t, func(string, bench.Options) (*bench.Report, error) {
 		return &bench.Report{}, nil
 	})
 	errCh := make(chan error, 1)

@@ -369,7 +369,7 @@ func (s *server) runOne(name string, device, seq int) {
 	defer s.active.Add(-1)
 	s.record(runStatus{Seq: seq, Name: name, Device: device, State: "running"})
 	start := time.Now()
-	rep, err := buildReport(name, s.workers, s.devices[device])
+	rep, err := buildReport(name, bench.Options{Workers: s.workers, Obs: s.devices[device]})
 	wall := time.Since(start)
 	s.runSeconds.Observe(wall.Seconds())
 	st := runStatus{Seq: seq, Name: name, Device: device, WallSeconds: wall.Seconds()}

@@ -9,6 +9,7 @@ import (
 	"mouse/internal/fft"
 	"mouse/internal/isa"
 	"mouse/internal/mtj"
+	"mouse/internal/pool"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
@@ -32,7 +33,7 @@ type RobustnessRow struct {
 // pool job per gate.
 func ComputeRobustness(workers int) []RobustnessRow {
 	n := int(mtj.NumGates)
-	rows, _ := runJobs(workers, n, func(i int) (RobustnessRow, error) {
+	rows, _ := pool.Jobs(workers, n, func(i int) (RobustnessRow, error) {
 		g := mtj.GateKind(i)
 		return RobustnessRow{
 			Gate:      g,
@@ -44,20 +45,24 @@ func ComputeRobustness(workers int) []RobustnessRow {
 	return rows
 }
 
-// PrintRobustness renders the variation-tolerance study.
-func PrintRobustness(w io.Writer, workers int) {
+// writeRobustness renders the variation-tolerance study, closing with
+// each configuration's array-level limit (its least tolerant gate).
+func writeRobustness(w io.Writer, rows []RobustnessRow) error {
 	fmt.Fprintln(w, "Robustness — tolerated MTJ resistance variation (±%), per gate (Section II-D)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "gate\tModern STT\tProjected STT\tSHE")
-	for _, r := range ComputeRobustness(workers) {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\n", r.Gate, r.ModernSTT*100, r.ProjSTT*100, r.SHE*100)
 	}
-	tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
 	mt, mg := mtj.MinVariationTolerance(mtj.ModernSTT())
 	pt, pg := mtj.MinVariationTolerance(mtj.ProjectedSTT())
 	st, sg := mtj.MinVariationTolerance(mtj.ProjectedSHE())
-	fmt.Fprintf(w, "array-level limits: Modern %.1f%% (%v), Projected %.1f%% (%v), SHE %.1f%% (%v)\n",
+	_, err := fmt.Fprintf(w, "array-level limits: Modern %.1f%% (%v), Projected %.1f%% (%v), SHE %.1f%% (%v)\n",
 		mt*100, mg, pt*100, pg, st*100, sg)
+	return err
 }
 
 // CheckpointRow is one point of the checkpoint-interval sweep.
@@ -69,16 +74,16 @@ type CheckpointRow struct {
 // ComputeCheckpointSweep runs a benchmark at 60 µW with checkpoint
 // intervals of 1 (MOUSE's design point), 8 and 64 instructions — the
 // frequency trade-off of Section IV-D. One pool job per interval.
-func ComputeCheckpointSweep(cfg *mtj.Config, benchmark string, workers int, obs ...probe.Observer) ([]CheckpointRow, error) {
+func ComputeCheckpointSweep(cfg *mtj.Config, benchmark string, workers int, obs probe.Observer) ([]CheckpointRow, error) {
 	spec, err := workload.ByName(benchmark)
 	if err != nil {
 		return nil, err
 	}
 	intervals := []int{1, 8, 64}
-	return runJobs(workers, len(intervals), func(i int) (CheckpointRow, error) {
+	return pool.Jobs(workers, len(intervals), func(i int) (CheckpointRow, error) {
 		interval := intervals[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
-		r.Obs = probe.First(obs)
+		r.Obs = obs
 		h := power.NewHarvester(power.Constant{W: 60e-6}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		res, err := r.RunWithCheckpointInterval(spec.Stream(), h, interval)
 		if err != nil {
@@ -88,13 +93,10 @@ func ComputeCheckpointSweep(cfg *mtj.Config, benchmark string, workers int, obs 
 	})
 }
 
-// PrintCheckpointSweep renders the checkpoint-interval ablation.
-func PrintCheckpointSweep(w io.Writer, cfg *mtj.Config, benchmark string, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeCheckpointSweep(cfg, benchmark, workers, obs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Checkpoint-interval ablation — %s, %s at 60 µW (Section IV-D trade-off)\n", benchmark, cfg.Name)
+// writeCheckpointSweep renders the checkpoint-interval ablation of the
+// named benchmark and configuration.
+func writeCheckpointSweep(w io.Writer, benchmark, cfg string, rows []CheckpointRow) error {
+	fmt.Fprintf(w, "Checkpoint-interval ablation — %s, %s at 60 µW (Section IV-D trade-off)\n", benchmark, cfg)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "interval\ttotal E (µJ)\tbackup (µJ)\tdead (µJ)\tlatency (s)\trestarts")
 	for _, r := range rows {
@@ -134,16 +136,16 @@ func ComputeParallelism() []ParallelismRow {
 	return rows
 }
 
-// PrintParallelism renders the power-budget parallelism limits
+// writeParallelism renders the power-budget parallelism limits
 // (Section IV-C: tuning power draw by adjusting parallelism).
-func PrintParallelism(w io.Writer) {
+func writeParallelism(w io.Writer, rows []ParallelismRow) error {
 	fmt.Fprintln(w, "Parallelism budget — max simultaneously active columns per buffer discharge (Section IV-C)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "configuration\tno headroom\t2x headroom\tpeak power at that width")
-	for _, r := range ComputeParallelism() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d cols\t%d cols\t%.3g W\n", r.Config, r.FullCols, r.HeadroomCols, r.PeakPowerW)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // FFTRow is one row of the related-work FFT comparison (Section X).
@@ -156,21 +158,21 @@ type FFTRow struct {
 // ComputeFFT runs the CRAFFT-style 1024-point FFT workload on each MOUSE
 // configuration under continuous power (one pool job per configuration)
 // and lists the paper's reference systems alongside.
-func ComputeFFT(workers int, obs ...probe.Observer) ([]FFTRow, error) {
+func ComputeFFT(workers int, obs probe.Observer) ([]FFTRow, error) {
 	p := fft.MiBenchParams()
 	rows := []FFTRow{
 		{System: "NVP (THU1010N) [57]", LatencySec: fft.NVPLatency},
 		{System: "CRAFFT on CRAM [19]", LatencySec: fft.CRAFFTLatency},
 	}
 	cfgs := mtj.Configs()
-	mouseRows, err := runJobs(workers, len(cfgs), func(i int) (FFTRow, error) {
+	mouseRows, err := pool.Jobs(workers, len(cfgs), func(i int) (FFTRow, error) {
 		cfg := cfgs[i]
 		s, err := fft.Stream(p)
 		if err != nil {
 			return FFTRow{}, err
 		}
 		r := sim.NewRunner(energy.NewModel(cfg))
-		r.Obs = probe.First(obs)
+		r.Obs = obs
 		res := r.RunContinuous(s)
 		return FFTRow{
 			System:     "MOUSE " + cfg.Name + " (intermittent-safe)",
@@ -184,14 +186,9 @@ func ComputeFFT(workers int, obs ...probe.Observer) ([]FFTRow, error) {
 	return append(rows, mouseRows...), nil
 }
 
-// PrintFFT renders the FFT comparison.
-func PrintFFT(w io.Writer, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeFFT(workers, obs...)
-	if err != nil {
-		return err
-	}
-	p := fft.MiBenchParams()
-	fmt.Fprintf(w, "Related-work FFT comparison — %s transform (Section X)\n", p)
+// writeFFT renders the FFT comparison.
+func writeFFT(w io.Writer, rows []FFTRow) error {
+	fmt.Fprintf(w, "Related-work FFT comparison — %s transform (Section X)\n", fft.MiBenchParams())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "system\tlatency (ms)\tenergy (µJ)")
 	for _, r := range rows {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mouse/internal/array"
+	"mouse/internal/pool"
 	"mouse/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func ComputeBatch(lanes, workers int) ([]BatchRow, error) {
 		return nil, fmt.Errorf("bench: batch lanes %d outside [1, %d]", lanes, array.MaxLanes)
 	}
 	hbs := workload.HotBatches()
-	return runJobs(workers, len(hbs), func(i int) (BatchRow, error) {
+	return pool.Jobs(workers, len(hbs), func(i int) (BatchRow, error) {
 		return computeBatchRow(hbs[i], lanes)
 	})
 }
@@ -110,60 +111,30 @@ func computeBatchRow(hb workload.HotBatch, lanes int) (BatchRow, error) {
 	return row, nil
 }
 
-// PrintBatch renders the timed experiment as a table (the mousebench
-// -batch view; host timings vary run to run, so this form is not part
-// of the deterministic-tables contract).
-func PrintBatch(w io.Writer, lanes, workers int) error {
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
+// writeBatch renders the batch experiment. The registry's table keeps
+// to the deterministic columns — every hot workload's batched labels
+// matched sequential — so it is byte-identical across runs and
+// parallelism; wallClock (the mousebench -batch view) adds the host
+// ns/inference timings, which vary run to run.
+func writeBatch(w io.Writer, rows []BatchRow, wallClock bool) error {
+	lanes := 0
+	if len(rows) > 0 {
+		lanes = rows[0].Lanes
 	}
-	fmt.Fprintf(w, "Batch inference throughput — %d bit-slice lanes, host ns/inference\n", lanes)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tlanes\tsamples/batch\tns/inf seq\tns/inf batched\tspeedup\tmismatches")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%d\n",
-			r.Workload, r.Lanes, r.SamplesPerBatch, r.NsSequential, r.NsBatched, r.Speedup, r.Mismatches)
-	}
-	return tw.Flush()
-}
-
-// PrintBatchChecked renders the experiment's deterministic columns —
-// the registry's table view. Experiment tables must be byte-identical
-// across runs and parallelism, so the wall-clock throughput numbers
-// stay out; what remains is the simulation result: every hot workload's
-// batched labels matched sequential.
-func PrintBatchChecked(w io.Writer, lanes, workers int) error {
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
+	if wallClock {
+		fmt.Fprintf(w, "Batch inference throughput — %d bit-slice lanes, host ns/inference\n", lanes)
+		fmt.Fprintln(tw, "workload\tlanes\tsamples/batch\tns/inf seq\tns/inf batched\tspeedup\tmismatches")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%d\n",
+				r.Workload, r.Lanes, r.SamplesPerBatch, r.NsSequential, r.NsBatched, r.Speedup, r.Mismatches)
+		}
+		return tw.Flush()
 	}
 	fmt.Fprintf(w, "Batch inference equivalence — %d bit-slice lanes (timings: mousebench -batch %d)\n", lanes, lanes)
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tlanes\tsamples/batch\tmismatches")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", r.Workload, r.Lanes, r.SamplesPerBatch, r.Mismatches)
 	}
 	return tw.Flush()
-}
-
-// RunBatch is the mousebench -batch entry point: the batch experiment
-// alone, at an explicit lane count, as a table or a one-experiment
-// report.
-func RunBatch(w io.Writer, lanes, workers int, asJSON bool) error {
-	if !asJSON {
-		return PrintBatch(w, lanes, workers)
-	}
-	start := time.Now()
-	rows, err := ComputeBatch(lanes, workers)
-	if err != nil {
-		return err
-	}
-	rep := &Report{
-		Schema: Schema, Tool: "mousebench", Parallelism: clampWorkers(workers, 1<<30),
-		Experiments: []ExperimentReport{{
-			Name: "batch", WallSeconds: time.Since(start).Seconds(), Rows: rows,
-		}},
-	}
-	return rep.WriteJSON(w)
 }

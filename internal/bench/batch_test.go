@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mouse/internal/array"
+	"mouse/internal/pool"
 	"mouse/internal/workload"
 )
 
@@ -49,28 +50,33 @@ func TestComputeBatchShapes(t *testing.T) {
 	}
 }
 
-// TestPrintBatchAndRunBatch: table and JSON forms render, and the JSON
-// form is a schema-valid one-experiment report.
+// TestPrintBatchAndRunBatch: the batch experiment at an explicit lane
+// count (the mousebench -batch view) renders its timing columns, its
+// report is a schema-valid one-experiment report, and the registry's
+// table form carries only deterministic columns.
 func TestPrintBatchAndRunBatch(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunBatch(&buf, 2, 1, false); err != nil {
+	rep, err := BuildReport("batch", Options{Workers: 1, Lanes: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"workload", "speedup", "mismatches"} {
+	var buf bytes.Buffer
+	if err := PrintTables(&buf, rep, true); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"2 bit-slice lanes", "workload", "speedup", "mismatches"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("table output missing %q", want)
 		}
 	}
 	buf.Reset()
-	if err := RunBatch(&buf, 2, 1, true); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), Schema) || !strings.Contains(buf.String(), `"batch"`) {
 		t.Errorf("JSON output incomplete: %s", buf.String())
 	}
-	// The registry's table form carries only deterministic columns.
 	buf.Reset()
-	if err := PrintBatchChecked(&buf, 2, 1); err != nil {
+	if err := PrintTables(&buf, rep, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mismatches") || strings.Contains(buf.String(), "speedup") {
@@ -82,11 +88,11 @@ func TestPrintBatchAndRunBatch(t *testing.T) {
 // parallelism normalize to deep-equal — the throughput fields are host
 // wall clock and must not leak into the trajectory diff.
 func TestBatchNormalizeIsDeterministic(t *testing.T) {
-	a, err := BuildReport("batch", 1)
+	a, err := BuildReport("batch", Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildReport("batch", 2)
+	b, err := BuildReport("batch", Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,7 @@ func TestBatchNormalizeIsDeterministic(t *testing.T) {
 // compile-once caches and the arena reuse under real concurrency.
 func TestBatchStress32Workers(t *testing.T) {
 	hbs := workload.HotBatches()
-	_, err := Jobs(32, 32, func(i int) (struct{}, error) {
+	_, err := pool.Jobs(32, 32, func(i int) (struct{}, error) {
 		hb := hbs[i%len(hbs)]
 		row, err := computeBatchRow(hb, 1+i%array.MaxLanes)
 		if err != nil {

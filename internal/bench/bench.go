@@ -3,9 +3,10 @@
 // Table II (device parameters), Table III (area), Table IV
 // (continuous-power comparison), Fig. 9 (latency vs. power source), and
 // Figs. 10–12 (latency/energy breakdowns per configuration at 60 µW).
-// Each experiment has a Compute function returning structured rows
-// (consumed by tests and testing.B benchmarks) and a Print function
-// producing the human-readable table.
+// Each experiment is defined once: a Compute function returns its typed
+// rows (consumed by tests and testing.B benchmarks), the registry in
+// report.go collects them into a Report, and the human-readable table is
+// a rendering of that report (PrintTables), never a second computation.
 package bench
 
 import (
@@ -17,6 +18,7 @@ import (
 	"mouse/internal/baseline"
 	"mouse/internal/energy"
 	"mouse/internal/mtj"
+	"mouse/internal/pool"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
@@ -80,16 +82,16 @@ func ComputeTableI(cfg *mtj.Config) []TableIRow {
 	return rows
 }
 
-// PrintTableI renders Table I.
-func PrintTableI(w io.Writer, cfg *mtj.Config) {
-	fmt.Fprintf(w, "Table I — re-performing an interrupted AND gate (%s)\n", cfg.Name)
+// writeTableI renders Table I, computed under the named configuration.
+func writeTableI(w io.Writer, cfg string, rows []TableIRow) error {
+	fmt.Fprintf(w, "Table I — re-performing an interrupted AND gate (%s)\n", cfg)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "inputs\tswitched before interrupt\tfinal output\texpected\tsafe")
-	for _, r := range ComputeTableI(cfg) {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "(%d,%d)\t%v\t%d\t%d\t%v\n",
 			r.InputA, r.InputB, r.SwitchedBeforeInterrupt, r.Output, r.Correct, r.Output == r.Correct)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table II ------------------------------------------------------------
@@ -115,15 +117,15 @@ func ComputeTableII() []TableIIRow {
 	}
 }
 
-// PrintTableII renders the MTJ device parameters (Table II).
-func PrintTableII(w io.Writer) {
+// writeTableII renders the MTJ device parameters (Table II).
+func writeTableII(w io.Writer, rows []TableIIRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table II — MTJ device parameters")
 	fmt.Fprintln(tw, "parameter\tmodern\tprojected")
-	for _, r := range ComputeTableII() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%.*f %s\t%.*f %s\n", r.Parameter, r.Decimals, r.Modern, r.Unit, r.Decimals, r.Proj, r.Unit)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table III -----------------------------------------------------------
@@ -152,15 +154,15 @@ func ComputeTableIII() []TableIIIRow {
 	return rows
 }
 
-// PrintTableIII renders Table III.
-func PrintTableIII(w io.Writer) {
+// writeTableIII renders Table III.
+func writeTableIII(w io.Writer, rows []TableIIIRow) error {
 	fmt.Fprintln(w, "Table III — area (mm²) per benchmark and configuration")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\tmemory\tModern STT\tProjected STT\tSHE")
-	for _, r := range ComputeTableIII() {
+	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%d MB\t%.2f\t%.2f\t%.2f\n", r.Benchmark, r.MemMB, r.ModernSTT, r.ProjSTT, r.SHE)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Table IV ------------------------------------------------------------
@@ -180,16 +182,16 @@ type TableIVRow struct {
 // ComputeTableIV runs every MOUSE benchmark under continuous power
 // (Modern STT, as in the paper) and appends the CPU/libSVM/SONIC
 // reference rows. The per-benchmark runs execute on the sweep pool with
-// the given worker bound (<= 0 selects DefaultWorkers). An optional
+// the given worker bound (<= 0 selects pool.DefaultWorkers). A non-nil
 // observer (shared across the pool's jobs — it must be concurrency-safe,
 // like probe.Stats) receives every run's events.
-func ComputeTableIV(workers int, obs ...probe.Observer) []TableIVRow {
+func ComputeTableIV(workers int, obs probe.Observer) []TableIVRow {
 	cfg := mtj.ModernSTT()
 	specs := workload.Benchmarks()
-	rows, _ := runJobs(workers, len(specs), func(i int) (TableIVRow, error) {
+	rows, _ := pool.Jobs(workers, len(specs), func(i int) (TableIVRow, error) {
 		s := specs[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
-		r.Obs = probe.First(obs)
+		r.Obs = obs
 		res := r.RunContinuous(s.Stream())
 		system := "MOUSE SVM (Modern STT)"
 		if s.Kind == workload.BNN {
@@ -221,12 +223,12 @@ func ComputeTableIV(workers int, obs ...probe.Observer) []TableIVRow {
 	return rows
 }
 
-// PrintTableIV renders Table IV.
-func PrintTableIV(w io.Writer, workers int, obs ...probe.Observer) {
+// writeTableIV renders Table IV.
+func writeTableIV(w io.Writer, rows []TableIVRow) error {
 	fmt.Fprintln(w, "Table IV — continuous power (MOUSE rows simulated; CPU/libSVM/SONIC rows from the paper)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "system\tbenchmark\tlatency (µs)\tenergy (µJ)\t#SV\tI/D mem (MB)\tarea (mm²)")
-	for _, r := range ComputeTableIV(workers, obs...) {
+	for _, r := range rows {
 		sv := "-"
 		if r.NumSV > 0 {
 			sv = fmt.Sprintf("%d", r.NumSV)
@@ -241,7 +243,7 @@ func PrintTableIV(w io.Writer, workers int, obs ...probe.Observer) {
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.2f\t%s\t%s\t%s\n", r.System, r.Benchmark, r.LatencyUS, r.EnergyUJ, sv, mem, area)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
 // --- Fig. 9 --------------------------------------------------------------
@@ -259,16 +261,16 @@ type Fig9Point struct {
 // the given configuration, plus the SONIC baselines. Every
 // (system, power) cell is one pool job owning its runner and harvester;
 // points come back in grid order regardless of scheduling.
-func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs ...probe.Observer) ([]Fig9Point, error) {
+func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs probe.Observer) ([]Fig9Point, error) {
 	specs := workload.Benchmarks()
 	sonics := []func() *baseline.SONIC{baseline.SONICMNIST, baseline.SONICHAR}
 	n := (len(specs) + len(sonics)) * len(powers)
-	return runJobs(workers, n, func(i int) (Fig9Point, error) {
+	return pool.Jobs(workers, n, func(i int) (Fig9Point, error) {
 		sys, p := i/len(powers), powers[i%len(powers)]
 		if sys < len(specs) {
 			s := specs[sys]
 			r := sim.NewRunner(energy.NewModel(cfg))
-			r.Obs = probe.First(obs)
+			r.Obs = obs
 			h := power.NewHarvester(power.Constant{W: p}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 			res, err := r.Run(s.Stream(), h)
 			if err != nil {
@@ -287,13 +289,9 @@ func ComputeFig9(cfg *mtj.Config, powers []float64, workers int, obs ...probe.Ob
 	})
 }
 
-// PrintFig9 renders the latency-vs-power series.
-func PrintFig9(w io.Writer, cfg *mtj.Config, workers int, obs ...probe.Observer) error {
-	points, err := ComputeFig9(cfg, Powers(), workers, obs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fig. 9 — latency (s) vs power source (%s)\n", cfg.Name)
+// writeFig9 renders one configuration's latency-vs-power series.
+func writeFig9(w io.Writer, sweep Fig9Sweep) error {
+	fmt.Fprintf(w, "Fig. 9 — latency (s) vs power source (%s)\n", sweep.Config)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "system")
 	for _, p := range Powers() {
@@ -302,7 +300,7 @@ func PrintFig9(w io.Writer, cfg *mtj.Config, workers int, obs ...probe.Observer)
 	fmt.Fprintln(tw)
 	bySystem := map[string][]Fig9Point{}
 	var order []string
-	for _, pt := range points {
+	for _, pt := range sweep.Points {
 		if _, seen := bySystem[pt.System]; !seen {
 			order = append(order, pt.System)
 		}
@@ -323,15 +321,15 @@ func PrintFig9(w io.Writer, cfg *mtj.Config, workers int, obs ...probe.Observer)
 // cross-over of the latency between FP-BNN and SVM MNIST (Bin)"): below
 // it the energy-hungrier FP-BNN is slower (latency is energy-bound);
 // above it FP-BNN's higher exploited parallelism wins.
-func CrossoverPowerW(cfg *mtj.Config, workers int, obs ...probe.Observer) (float64, error) {
+func CrossoverPowerW(cfg *mtj.Config, workers int, obs probe.Observer) (float64, error) {
 	names := []string{"SVM MNIST (Bin)", "BNN FPBNN MNIST"}
-	runs, err := runJobs(workers, len(names), func(i int) (sim.Result, error) {
+	runs, err := pool.Jobs(workers, len(names), func(i int) (sim.Result, error) {
 		s, err := workload.ByName(names[i])
 		if err != nil {
 			return sim.Result{}, err
 		}
 		r := sim.NewRunner(energy.NewModel(cfg))
-		r.Obs = probe.First(obs)
+		r.Obs = obs
 		return r.RunContinuous(s.Stream()), nil
 	})
 	if err != nil {
@@ -356,12 +354,12 @@ type BreakdownRow struct {
 
 // ComputeBreakdown runs every benchmark at the given harvested power
 // (the figures use 60 µW) under cfg, one pool job per benchmark.
-func ComputeBreakdown(cfg *mtj.Config, watts float64, workers int, obs ...probe.Observer) ([]BreakdownRow, error) {
+func ComputeBreakdown(cfg *mtj.Config, watts float64, workers int, obs probe.Observer) ([]BreakdownRow, error) {
 	specs := workload.Benchmarks()
-	return runJobs(workers, len(specs), func(i int) (BreakdownRow, error) {
+	return pool.Jobs(workers, len(specs), func(i int) (BreakdownRow, error) {
 		s := specs[i]
 		r := sim.NewRunner(energy.NewModel(cfg))
-		r.Obs = probe.First(obs)
+		r.Obs = obs
 		h := power.NewHarvester(power.Constant{W: watts}, cfg.CapC, cfg.CapVMin, cfg.CapVMax)
 		res, err := r.Run(s.Stream(), h)
 		if err != nil {
@@ -371,13 +369,10 @@ func ComputeBreakdown(cfg *mtj.Config, watts float64, workers int, obs ...probe.
 	})
 }
 
-// PrintBreakdown renders one of Figs. 10–12.
-func PrintBreakdown(w io.Writer, cfg *mtj.Config, watts float64, figure string, workers int, obs ...probe.Observer) error {
-	rows, err := ComputeBreakdown(cfg, watts, workers, obs...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%s — latency/energy breakdown, %s at %.0f µW\n", figure, cfg.Name, watts*1e6)
+// writeBreakdown renders one of Figs. 10–12, computed under the named
+// configuration at the given harvested power.
+func writeBreakdown(w io.Writer, figure, cfg string, watts float64, rows []BreakdownRow) error {
+	fmt.Fprintf(w, "%s — latency/energy breakdown, %s at %.0f µW\n", figure, cfg, watts*1e6)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\ttotal E (µJ)\tbackup %\tdead %\trestore %\ttotal lat (s)\tdead lat %\trestore lat %\trestarts")
 	for _, r := range rows {

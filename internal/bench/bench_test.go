@@ -58,7 +58,7 @@ func TestTableIIIMatchesPaper(t *testing.T) {
 }
 
 func TestTableIVRows(t *testing.T) {
-	rows := ComputeTableIV(0)
+	rows := ComputeTableIV(0, nil)
 	if len(rows) != 6+4+4+2 {
 		t.Fatalf("%d rows, want 16", len(rows))
 	}
@@ -93,7 +93,7 @@ func TestTableIVRows(t *testing.T) {
 func TestFig9Shapes(t *testing.T) {
 	cfg := mtj.ModernSTT()
 	powers := []float64{60e-6, 500e-6, 5e-3}
-	points, err := ComputeFig9(cfg, powers, 0)
+	points, err := ComputeFig9(cfg, powers, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSHEHasLowestLatencyAtLowPower(t *testing.T) {
 	for _, name := range []string{"SVM MNIST (Bin)", "BNN FINN MNIST"} {
 		var lat [3]float64
 		for i, cfg := range mtj.Configs() {
-			points, err := ComputeFig9(cfg, []float64{60e-6}, 0)
+			points, err := ComputeFig9(cfg, []float64{60e-6}, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestSHEHasLowestLatencyAtLowPower(t *testing.T) {
 
 func TestCrossoverPower(t *testing.T) {
 	cfg := mtj.ModernSTT()
-	p, err := CrossoverPowerW(cfg, 0)
+	p, err := CrossoverPowerW(cfg, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestCrossoverPower(t *testing.T) {
 	}
 	t.Logf("FP-BNN / SVM-bin latency crossover at %.3g W", p)
 	// Below the crossover the energy-hungrier FP-BNN must be slower.
-	points, err := ComputeFig9(cfg, []float64{60e-6}, 0)
+	points, err := ComputeFig9(cfg, []float64{60e-6}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCrossoverPower(t *testing.T) {
 func TestBreakdownShares(t *testing.T) {
 	var dead [3]float64
 	for i, cfg := range mtj.Configs() {
-		rows, err := ComputeBreakdown(cfg, 60e-6, 0)
+		rows, err := ComputeBreakdown(cfg, 60e-6, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,16 +217,28 @@ func TestBreakdownShares(t *testing.T) {
 	}
 }
 
-func TestPrintersProduceOutput(t *testing.T) {
+// printRows renders rows through PrintTables as the named experiment's
+// one-experiment report.
+func printRows(t *testing.T, experiment string, rows any) string {
+	t.Helper()
 	var buf bytes.Buffer
-	PrintTableI(&buf, mtj.ModernSTT())
-	PrintTableII(&buf)
-	PrintTableIII(&buf)
-	PrintTableIV(&buf, 0)
-	if err := PrintBreakdown(&buf, mtj.ProjectedSHE(), 60e-6, "Fig. 12", 0); err != nil {
+	rep := &Report{Experiments: []ExperimentReport{{Name: experiment, Rows: rows}}}
+	if err := PrintTables(&buf, rep, false); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	return buf.String()
+}
+
+func TestPrintersProduceOutput(t *testing.T) {
+	breakdown, err := ComputeBreakdown(mtj.ProjectedSHE(), 60e-6, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := printRows(t, "table1", ComputeTableI(mtj.ModernSTT())) +
+		printRows(t, "table2", ComputeTableII()) +
+		printRows(t, "table3", ComputeTableIII()) +
+		printRows(t, "table4", ComputeTableIV(0, nil)) +
+		printRows(t, "fig12", breakdown)
 	for _, want := range []string{"Table I", "Table II", "Table III", "Table IV", "Fig. 12", "SONIC", "SVM MNIST"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
@@ -235,11 +247,12 @@ func TestPrintersProduceOutput(t *testing.T) {
 }
 
 func TestPrintFig9(t *testing.T) {
-	var buf bytes.Buffer
-	if err := PrintFig9(&buf, mtj.ProjectedSHE(), 0); err != nil {
+	cfg := mtj.ProjectedSHE()
+	points, err := ComputeFig9(cfg, Powers(), 0, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "SONIC MNIST") {
+	if !strings.Contains(printRows(t, "fig9", []Fig9Sweep{{Config: cfg.Name, Points: points}}), "SONIC MNIST") {
 		t.Errorf("Fig. 9 output missing SONIC curve")
 	}
 }
@@ -257,15 +270,13 @@ func TestRobustnessStudy(t *testing.T) {
 			t.Errorf("%v: zero tolerance", r.Gate)
 		}
 	}
-	var buf bytes.Buffer
-	PrintRobustness(&buf, 0)
-	if !strings.Contains(buf.String(), "array-level limits") {
+	if !strings.Contains(printRows(t, "robustness", rows), "array-level limits") {
 		t.Errorf("robustness output incomplete")
 	}
 }
 
 func TestCheckpointSweepShapes(t *testing.T) {
-	rows, err := ComputeCheckpointSweep(mtj.ModernSTT(), "SVM ADULT", 0)
+	rows, err := ComputeCheckpointSweep(mtj.ModernSTT(), "SVM ADULT", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,22 +291,16 @@ func TestCheckpointSweepShapes(t *testing.T) {
 	if rows[2].DeadEnergy <= rows[0].DeadEnergy {
 		t.Errorf("dead energy did not grow with interval: %g vs %g", rows[2].DeadEnergy, rows[0].DeadEnergy)
 	}
-	var buf bytes.Buffer
-	if err := PrintCheckpointSweep(&buf, mtj.ModernSTT(), "SVM ADULT", 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "interval") {
+	if !strings.Contains(printRows(t, "checkpoint", rows), "interval") {
 		t.Errorf("sweep output incomplete")
 	}
-	if _, err := ComputeCheckpointSweep(mtj.ModernSTT(), "nope", 0); err == nil {
+	if _, err := ComputeCheckpointSweep(mtj.ModernSTT(), "nope", 0, nil); err == nil {
 		t.Errorf("unknown benchmark accepted")
 	}
 }
 
 func TestPrintParallelism(t *testing.T) {
-	var buf bytes.Buffer
-	PrintParallelism(&buf)
-	if !strings.Contains(buf.String(), "cols") {
+	if !strings.Contains(printRows(t, "parallelism", ComputeParallelism()), "cols") {
 		t.Errorf("parallelism output incomplete")
 	}
 }
@@ -305,7 +310,7 @@ func TestPrintParallelism(t *testing.T) {
 // a latency penalty against the non-intermittent-safe CRAFFT mapping on
 // the same substrate (modern MTJs).
 func TestFFTComparison(t *testing.T) {
-	rows, err := ComputeFFT(0)
+	rows, err := ComputeFFT(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,11 +330,33 @@ func TestFFTComparison(t *testing.T) {
 	if mouse.LatencySec <= crafft.LatencySec {
 		t.Errorf("MOUSE %.3g s should pay an intermittent-safety penalty vs CRAFFT's %.3g s", mouse.LatencySec, crafft.LatencySec)
 	}
-	var buf bytes.Buffer
-	if err := PrintFFT(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "CRAFFT") {
+	if !strings.Contains(printRows(t, "fft", rows), "CRAFFT") {
 		t.Errorf("FFT output incomplete")
+	}
+}
+
+// TestSweepStressHighParallelism hammers the sweep engine with far more
+// workers than cores over real simulation jobs, so `go test -race`
+// exercises the shared paths (workload phase cache, macro-cost cache,
+// config singletons) under heavy interleaving.
+func TestSweepStressHighParallelism(t *testing.T) {
+	powers := []float64{300e-6, 5e-3}
+	var rounds [4][]Fig9Point
+	for round := range rounds {
+		points, err := ComputeFig9(mtj.ProjectedSHE(), powers, 32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds[round] = points
+	}
+	for round := 1; round < len(rounds); round++ {
+		if len(rounds[round]) != len(rounds[0]) {
+			t.Fatalf("round %d: %d points, want %d", round, len(rounds[round]), len(rounds[0]))
+		}
+		for i := range rounds[0] {
+			if rounds[round][i] != rounds[0][i] {
+				t.Errorf("round %d point %d: %+v != %+v", round, i, rounds[round][i], rounds[0][i])
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mouse/internal/fleet"
+	"mouse/internal/pool"
 	"mouse/internal/workload"
 )
 
@@ -73,7 +74,7 @@ func ComputeFleet(workers int) ([]FleetRow, error) {
 			combos = append(combos, combo{hb, mode})
 		}
 	}
-	return runJobs(workers, len(combos), func(i int) (FleetRow, error) {
+	return pool.Jobs(workers, len(combos), func(i int) (FleetRow, error) {
 		return computeFleetRow(combos[i].hb, combos[i].mode)
 	})
 }
@@ -135,63 +136,29 @@ func computeFleetRow(hb workload.HotBatch, mode fleet.PowerMode) (FleetRow, erro
 	return row, nil
 }
 
-// PrintFleet renders the full experiment including the latency
-// percentiles (the mousebench -fleet view; host timings vary run to
-// run, so this form is not part of the deterministic-tables contract).
-func PrintFleet(w io.Writer, workers int) error {
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Fleet serving latency — %d devices, %d requests x %d samples, host ms/request\n",
-		fleetBenchDevices, fleetBenchRequests, fleetBenchBatch)
+// writeFleet renders the fleet experiment. The registry's table keeps
+// to the deterministic columns — every request served, none rejected or
+// wrong, under both power modes — so it is byte-identical across runs
+// and parallelism; wallClock (the mousebench -fleet view) adds the
+// per-request latency percentiles, which vary run to run.
+func writeFleet(w io.Writer, rows []FleetRow, wallClock bool) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tpower\tok\trejected\terrors\tmismatches\tp50 ms\tp99 ms\tmean ms")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\n",
-			r.Workload, r.Power, r.OK, r.Rejected, r.Errors, r.Mismatches, r.P50Ms, r.P99Ms, r.MeanMs)
-	}
-	return tw.Flush()
-}
-
-// PrintFleetChecked renders the experiment's deterministic columns —
-// the registry's table view. Experiment tables must be byte-identical
-// across runs and parallelism, so the latency percentiles stay out;
-// what remains is the serving result: every request served, none
-// rejected or wrong, under both power modes.
-func PrintFleetChecked(w io.Writer, workers int) error {
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
+	if wallClock {
+		fmt.Fprintf(w, "Fleet serving latency — %d devices, %d requests x %d samples, host ms/request\n",
+			fleetBenchDevices, fleetBenchRequests, fleetBenchBatch)
+		fmt.Fprintln(tw, "workload\tpower\tok\trejected\terrors\tmismatches\tp50 ms\tp99 ms\tmean ms")
+		for _, r := range rows {
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.2f\t%.2f\t%.2f\n",
+				r.Workload, r.Power, r.OK, r.Rejected, r.Errors, r.Mismatches, r.P50Ms, r.P99Ms, r.MeanMs)
+		}
+		return tw.Flush()
 	}
 	fmt.Fprintf(w, "Fleet serving equivalence — %d devices, %d requests x %d samples (latencies: mousebench -fleet)\n",
 		fleetBenchDevices, fleetBenchRequests, fleetBenchBatch)
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tpower\tok\trejected\terrors\tmismatches")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\n",
 			r.Workload, r.Power, r.OK, r.Rejected, r.Errors, r.Mismatches)
 	}
 	return tw.Flush()
-}
-
-// RunFleet is the mousebench -fleet entry point: the serving experiment
-// alone, with latency percentiles, as a table or a one-experiment
-// report.
-func RunFleet(w io.Writer, workers int, asJSON bool) error {
-	if !asJSON {
-		return PrintFleet(w, workers)
-	}
-	start := time.Now()
-	rows, err := ComputeFleet(workers)
-	if err != nil {
-		return err
-	}
-	rep := &Report{
-		Schema: Schema, Tool: "mousebench", Parallelism: clampWorkers(workers, 1<<30),
-		Experiments: []ExperimentReport{{
-			Name: "fleet", WallSeconds: time.Since(start).Seconds(), Rows: rows,
-		}},
-	}
-	return rep.WriteJSON(w)
 }

@@ -59,11 +59,11 @@ func TestNormalizeZeroesFleetLatencies(t *testing.T) {
 // TestPrintFleetCheckedShape: the registry table view carries only the
 // deterministic columns — no latency numbers.
 func TestPrintFleetCheckedShape(t *testing.T) {
-	var sb strings.Builder
-	if err := PrintFleetChecked(&sb, 0); err != nil {
+	rows, err := ComputeFleet(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
+	out := printRows(t, "fleet", rows)
 	for _, wantSub := range []string{"svm-adult", "bnn-hidden16", "continuous", "harvested", "mismatches"} {
 		if !strings.Contains(out, wantSub) {
 			t.Errorf("table missing %q:\n%s", wantSub, out)

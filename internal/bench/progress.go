@@ -8,20 +8,21 @@ import (
 	"time"
 )
 
-// Progress receives experiment lifecycle events from the report and
-// table runners. Implementations must be safe for use from the goroutine
-// driving the run (events arrive sequentially, one experiment at a
-// time); index is 1-based and total counts the selected experiments.
+// Progress receives experiment lifecycle events from BuildReport, in
+// table and JSON mode alike. Implementations must be safe for use from
+// the goroutine driving the run (events arrive sequentially, one
+// experiment at a time); index is 1-based and total counts the selected
+// experiments.
 //
-// The runners never let a Progress implementation alter results: events
+// BuildReport never lets a Progress implementation alter results: events
 // carry copies of what already happened, and a nil Progress is the
-// zero-overhead default everywhere.
+// zero-overhead default.
 type Progress interface {
 	// ExperimentStarted fires just before experiment index of total begins.
 	ExperimentStarted(name string, index, total int)
 	// ExperimentFinished fires after it returns. rows is the number of
-	// structured rows produced (-1 when unknown, e.g. table mode); err is
-	// the experiment's error, nil on success.
+	// typed rows it produced (-1 when it failed); err is the
+	// experiment's error, nil on success.
 	ExperimentFinished(name string, index, total, rows int, wall time.Duration, err error)
 }
 
@@ -53,14 +54,11 @@ func (p *progressWriter) ExperimentStarted(name string, index, total int) {
 func (p *progressWriter) ExperimentFinished(name string, index, total, rows int, wall time.Duration, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	switch {
-	case err != nil:
+	if err != nil {
 		fmt.Fprintf(p.w, "mousebench: [%d/%d] %s failed after %s: %v\n", index, total, name, wall.Round(time.Microsecond), err)
-	case rows >= 0:
-		fmt.Fprintf(p.w, "mousebench: [%d/%d] %s done: %d rows in %s\n", index, total, name, rows, wall.Round(time.Microsecond))
-	default:
-		fmt.Fprintf(p.w, "mousebench: [%d/%d] %s done in %s\n", index, total, name, wall.Round(time.Microsecond))
+		return
 	}
+	fmt.Fprintf(p.w, "mousebench: [%d/%d] %s done: %d rows in %s\n", index, total, name, rows, wall.Round(time.Microsecond))
 }
 
 // RowCount reports the number of rows in an experiment's typed row

@@ -10,6 +10,7 @@ import (
 
 	"mouse/internal/array"
 	"mouse/internal/mtj"
+	"mouse/internal/pool"
 	"mouse/internal/probe"
 )
 
@@ -145,63 +146,79 @@ type CrossoverResult struct {
 	PowerW float64
 }
 
-// Experiment is one entry of the mousebench registry: a stable name, a
-// human-readable table printer, and a typed-row producer for JSON
-// reports. workers bounds the sweep pool (<= 0 selects DefaultWorkers).
-// The optional observer is shared by every simulation the experiment
-// runs (so it must be concurrency-safe, like probe.Stats); experiments
-// that run no simulations ignore it.
+// Options are a report build's run settings.
+type Options struct {
+	// Workers bounds the sweep pool (<= 0 selects pool.DefaultWorkers).
+	Workers int
+	// Obs, when non-nil, receives the events of every simulation the
+	// experiments run. Pool jobs share it, so it must be
+	// concurrency-safe, like probe.Stats; the caller reads it back after
+	// the build (mousebench -telemetry attaches its Section to the
+	// report). Experiments that run no simulations ignore it.
+	Obs probe.Observer
+	// Progress, when non-nil, receives per-experiment lifecycle events.
+	Progress Progress
+	// Lanes is the batch experiment's bit-slice lane count (0 selects
+	// array.MaxLanes).
+	Lanes int
+}
+
+// Experiment is one entry of the mousebench registry: a stable name, the
+// producer of its typed rows, and the table that renders those rows.
 type Experiment struct {
-	Name  string
-	Print func(w io.Writer, workers int, obs ...probe.Observer) error
-	Rows  func(workers int, obs ...probe.Observer) (any, error)
+	Name string
+	// Rows computes the experiment's typed row slice.
+	Rows func(o Options) (any, error)
+	// table renders the slice Rows returned; wallClock adds the
+	// host-timing columns of experiments that measure them.
+	table func(w io.Writer, rows any, wallClock bool) error
+}
+
+// experiment builds a registry entry from a typed row producer and the
+// table that renders its rows.
+func experiment[T any](name string, rows func(o Options) ([]T, error), table func(w io.Writer, rows []T, wallClock bool) error) Experiment {
+	return Experiment{
+		Name: name,
+		Rows: func(o Options) (any, error) {
+			r, err := rows(o)
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
+		},
+		table: func(w io.Writer, rows any, wallClock bool) error {
+			r, ok := rows.([]T)
+			if !ok {
+				return fmt.Errorf("rows are %T, want %T", rows, r)
+			}
+			return table(w, r, wallClock)
+		},
+	}
 }
 
 // Experiments lists every experiment in output order. The names are the
 // mousebench -experiment values and the report row keys; keep them
 // stable across PRs so BENCH_*.json files stay comparable.
 func Experiments() []Experiment {
+	modern := mtj.ModernSTT()
 	return []Experiment{
-		{
-			Name:  "table1",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableI(w, mtj.ModernSTT()); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableI(mtj.ModernSTT()), nil },
-		},
-		{
-			Name:  "table2",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableII(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableII(), nil },
-		},
-		{
-			Name:  "table3",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintTableIII(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeTableIII(), nil },
-		},
-		{
-			Name: "table4",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				PrintTableIV(w, workers, obs...)
-				return nil
-			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) { return ComputeTableIV(workers, obs...), nil },
-		},
-		{
-			Name: "fig9",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				for i, cfg := range mtj.Configs() {
-					if i > 0 {
-						fmt.Fprintln(w)
-					}
-					if err := PrintFig9(w, cfg, workers, obs...); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
+		experiment("table1",
+			func(Options) ([]TableIRow, error) { return ComputeTableI(modern), nil },
+			func(w io.Writer, rows []TableIRow, _ bool) error { return writeTableI(w, modern.Name, rows) }),
+		experiment("table2",
+			func(Options) ([]TableIIRow, error) { return ComputeTableII(), nil },
+			func(w io.Writer, rows []TableIIRow, _ bool) error { return writeTableII(w, rows) }),
+		experiment("table3",
+			func(Options) ([]TableIIIRow, error) { return ComputeTableIII(), nil },
+			func(w io.Writer, rows []TableIIIRow, _ bool) error { return writeTableIII(w, rows) }),
+		experiment("table4",
+			func(o Options) ([]TableIVRow, error) { return ComputeTableIV(o.Workers, o.Obs), nil },
+			func(w io.Writer, rows []TableIVRow, _ bool) error { return writeTableIV(w, rows) }),
+		experiment("fig9",
+			func(o Options) ([]Fig9Sweep, error) {
 				var sweeps []Fig9Sweep
 				for _, cfg := range mtj.Configs() {
-					points, err := ComputeFig9(cfg, Powers(), workers, obs...)
+					points, err := ComputeFig9(cfg, Powers(), o.Workers, o.Obs)
 					if err != nil {
 						return nil, err
 					}
@@ -209,103 +226,79 @@ func Experiments() []Experiment {
 				}
 				return sweeps, nil
 			},
-		},
-		breakdownExperiment("fig10", "Fig. 10", mtj.ModernSTT),
-		breakdownExperiment("fig11", "Fig. 11", mtj.ProjectedSTT),
-		breakdownExperiment("fig12", "Fig. 12", mtj.ProjectedSHE),
-		{
-			Name:  "fft",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error { return PrintFFT(w, workers, obs...) },
-			Rows:  func(workers int, obs ...probe.Observer) (any, error) { return ComputeFFT(workers, obs...) },
-		},
-		{
-			Name:  "robustness",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error { PrintRobustness(w, workers); return nil },
-			Rows:  func(workers int, _ ...probe.Observer) (any, error) { return ComputeRobustness(workers), nil },
-		},
-		{
-			Name: "checkpoint",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				return PrintCheckpointSweep(w, mtj.ModernSTT(), "SVM ADULT", workers, obs...)
-			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
-				rows, err := ComputeCheckpointSweep(mtj.ModernSTT(), "SVM ADULT", workers, obs...)
-				if err != nil {
-					return nil, err
+			func(w io.Writer, sweeps []Fig9Sweep, _ bool) error {
+				for i, sweep := range sweeps {
+					if i > 0 {
+						fmt.Fprintln(w)
+					}
+					if err := writeFig9(w, sweep); err != nil {
+						return err
+					}
 				}
-				return rows, nil
-			},
-		},
-		{
-			Name:  "parallelism",
-			Print: func(w io.Writer, _ int, _ ...probe.Observer) error { PrintParallelism(w); return nil },
-			Rows:  func(_ int, _ ...probe.Observer) (any, error) { return ComputeParallelism(), nil },
-		},
-		{
-			Name: "crossover",
-			Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-				p, err := CrossoverPowerW(mtj.ModernSTT(), workers, obs...)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "FP-BNN vs SVM MNIST (Bin) latency crossover: %.3g W\n", p)
-				fmt.Fprintln(w, "below this power the energy-hungrier FP-BNN is slower; above it its")
-				fmt.Fprintln(w, "higher exploited parallelism wins (Section IX)")
 				return nil
+			}),
+		breakdownExperiment("fig10", "Fig. 10", mtj.ModernSTT()),
+		breakdownExperiment("fig11", "Fig. 11", mtj.ProjectedSTT()),
+		breakdownExperiment("fig12", "Fig. 12", mtj.ProjectedSHE()),
+		experiment("fft",
+			func(o Options) ([]FFTRow, error) { return ComputeFFT(o.Workers, o.Obs) },
+			func(w io.Writer, rows []FFTRow, _ bool) error { return writeFFT(w, rows) }),
+		experiment("robustness",
+			func(o Options) ([]RobustnessRow, error) { return ComputeRobustness(o.Workers), nil },
+			func(w io.Writer, rows []RobustnessRow, _ bool) error { return writeRobustness(w, rows) }),
+		experiment("checkpoint",
+			func(o Options) ([]CheckpointRow, error) {
+				return ComputeCheckpointSweep(modern, "SVM ADULT", o.Workers, o.Obs)
 			},
-			Rows: func(workers int, obs ...probe.Observer) (any, error) {
-				p, err := CrossoverPowerW(mtj.ModernSTT(), workers, obs...)
+			func(w io.Writer, rows []CheckpointRow, _ bool) error {
+				return writeCheckpointSweep(w, "SVM ADULT", modern.Name, rows)
+			}),
+		experiment("parallelism",
+			func(Options) ([]ParallelismRow, error) { return ComputeParallelism(), nil },
+			func(w io.Writer, rows []ParallelismRow, _ bool) error { return writeParallelism(w, rows) }),
+		experiment("crossover",
+			func(o Options) ([]CrossoverResult, error) {
+				p, err := CrossoverPowerW(modern, o.Workers, o.Obs)
 				if err != nil {
 					return nil, err
 				}
 				return []CrossoverResult{{PowerW: p}}, nil
 			},
-		},
-		{
-			Name: "batch",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintBatchChecked(w, array.MaxLanes, workers)
+			func(w io.Writer, rows []CrossoverResult, _ bool) error {
+				for _, r := range rows {
+					fmt.Fprintf(w, "FP-BNN vs SVM MNIST (Bin) latency crossover: %.3g W\n", r.PowerW)
+				}
+				fmt.Fprintln(w, "below this power the energy-hungrier FP-BNN is slower; above it its")
+				_, err := fmt.Fprintln(w, "higher exploited parallelism wins (Section IX)")
+				return err
+			}),
+		experiment("batch",
+			func(o Options) ([]BatchRow, error) {
+				lanes := o.Lanes
+				if lanes == 0 {
+					lanes = array.MaxLanes
+				}
+				return ComputeBatch(lanes, o.Workers)
 			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
-				return ComputeBatch(array.MaxLanes, workers)
-			},
-		},
-		{
-			Name: "segment",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintSegmentChecked(w, workers)
-			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
-				return ComputeSegment(workers)
-			},
-		},
-		{
-			Name: "fleet",
-			Print: func(w io.Writer, workers int, _ ...probe.Observer) error {
-				return PrintFleetChecked(w, workers)
-			},
-			Rows: func(workers int, _ ...probe.Observer) (any, error) {
-				return ComputeFleet(workers)
-			},
-		},
+			writeBatch),
+		experiment("segment",
+			func(o Options) ([]SegmentRow, error) { return ComputeSegment(o.Workers) },
+			func(w io.Writer, rows []SegmentRow, _ bool) error { return writeSegment(w, rows) }),
+		experiment("fleet",
+			func(o Options) ([]FleetRow, error) { return ComputeFleet(o.Workers) },
+			writeFleet),
 	}
 }
 
-// breakdownExperiment builds a Figs. 10–12 registry entry.
-func breakdownExperiment(name, figure string, cfg func() *mtj.Config) Experiment {
-	return Experiment{
-		Name: name,
-		Print: func(w io.Writer, workers int, obs ...probe.Observer) error {
-			return PrintBreakdown(w, cfg(), 60e-6, figure, workers, obs...)
-		},
-		Rows: func(workers int, obs ...probe.Observer) (any, error) {
-			rows, err := ComputeBreakdown(cfg(), 60e-6, workers, obs...)
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
-		},
-	}
+// breakdownExperiment builds a Figs. 10–12 registry entry: every
+// benchmark under cfg at 60 µW.
+func breakdownExperiment(name, figure string, cfg *mtj.Config) Experiment {
+	const watts = 60e-6
+	return experiment(name,
+		func(o Options) ([]BreakdownRow, error) { return ComputeBreakdown(cfg, watts, o.Workers, o.Obs) },
+		func(w io.Writer, rows []BreakdownRow, _ bool) error {
+			return writeBreakdown(w, figure, cfg.Name, watts, rows)
+		})
 }
 
 // selectExperiments resolves an -experiment value against the registry.
@@ -322,64 +315,29 @@ func selectExperiments(experiment string) ([]Experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q", experiment)
 }
 
-// RunPrinted renders the selected experiment (or "all") as the
-// human-readable tables, separated by exactly one blank line, with no
-// leading or trailing blank line.
-func RunPrinted(w io.Writer, experiment string, workers int, obs ...probe.Observer) error {
-	return RunPrintedProgress(w, experiment, workers, nil, obs...)
-}
-
-// RunPrintedProgress is RunPrinted with per-experiment lifecycle events
-// delivered to prog (nil means no events). Events only wrap the calls —
-// table bytes on w are identical with or without a Progress attached.
-func RunPrintedProgress(w io.Writer, experiment string, workers int, prog Progress, obs ...probe.Observer) error {
-	selected, err := selectExperiments(experiment)
-	if err != nil {
-		return err
-	}
-	for i, e := range selected {
-		if i > 0 {
-			fmt.Fprintln(w)
-		}
-		if prog != nil {
-			prog.ExperimentStarted(e.Name, i+1, len(selected))
-		}
-		start := time.Now()
-		err := e.Print(w, workers, obs...)
-		if prog != nil {
-			prog.ExperimentFinished(e.Name, i+1, len(selected), -1, time.Since(start), err)
-		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-	}
-	return nil
-}
-
 // BuildReport computes the selected experiment's (or "all" experiments')
 // typed rows and wall-clock costs into a Report, stamped with the
-// current run's metadata.
-func BuildReport(experiment string, workers int, obs ...probe.Observer) (*Report, error) {
-	return BuildReportProgress(experiment, workers, nil, obs...)
-}
-
-// BuildReportProgress is BuildReport with per-experiment lifecycle
-// events delivered to prog (nil means no events).
-func BuildReportProgress(experiment string, workers int, prog Progress, obs ...probe.Observer) (*Report, error) {
+// current run's metadata. It is the one way experiments run: the -json
+// report is this Report, and the tables are PrintTables' rendering of it.
+func BuildReport(experiment string, o Options) (*Report, error) {
 	selected, err := selectExperiments(experiment)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Schema: Schema, Tool: "mousebench", Parallelism: clampWorkers(workers, 1<<30), Meta: CollectRunMeta()}
-	for _, e := range selected {
-		if prog != nil {
-			prog.ExperimentStarted(e.Name, len(rep.Experiments)+1, len(selected))
+	workers := o.Workers
+	if workers <= 0 {
+		workers = pool.DefaultWorkers()
+	}
+	rep := &Report{Schema: Schema, Tool: "mousebench", Parallelism: workers, Meta: CollectRunMeta()}
+	for i, e := range selected {
+		if o.Progress != nil {
+			o.Progress.ExperimentStarted(e.Name, i+1, len(selected))
 		}
 		start := time.Now()
-		rows, err := e.Rows(workers, obs...)
+		rows, err := e.Rows(o)
 		wall := time.Since(start)
-		if prog != nil {
-			prog.ExperimentFinished(e.Name, len(rep.Experiments)+1, len(selected), RowCount(rows), wall, err)
+		if o.Progress != nil {
+			o.Progress.ExperimentFinished(e.Name, i+1, len(selected), RowCount(rows), wall, err)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
@@ -393,21 +351,34 @@ func BuildReportProgress(experiment string, workers int, prog Progress, obs ...p
 	return rep, nil
 }
 
-// BuildTelemetryReport is BuildReport with a shared probe.Stats
-// attached to every simulation the selected experiments run; its
-// snapshot lands in the report's Telemetry section.
-func BuildTelemetryReport(experiment string, workers int) (*Report, error) {
-	return BuildTelemetryReportProgress(experiment, workers, nil)
-}
-
-// BuildTelemetryReportProgress is BuildTelemetryReport with progress
-// events (nil prog means no events).
-func BuildTelemetryReportProgress(experiment string, workers int, prog Progress) (*Report, error) {
-	stats := &probe.Stats{}
-	rep, err := BuildReportProgress(experiment, workers, prog, stats)
-	if err != nil {
-		return nil, err
+// PrintTables renders a report built by BuildReport as the
+// human-readable tables: each experiment's rows in report order,
+// separated by exactly one blank line, with no leading or trailing blank
+// line, followed by the telemetry summary when the report carries one.
+// wallClock adds the host-timing columns of the batch and fleet
+// experiments (mousebench -batch and -fleet); without it the output is
+// byte-identical across runs and parallelism.
+func PrintTables(w io.Writer, rep *Report, wallClock bool) error {
+	registry := map[string]Experiment{}
+	for _, e := range Experiments() {
+		registry[e.Name] = e
 	}
-	rep.Telemetry = stats.Section()
-	return rep, nil
+	for i, er := range rep.Experiments {
+		e, ok := registry[er.Name]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", er.Name)
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := e.table(w, er.Rows, wallClock); err != nil {
+			return fmt.Errorf("%s: %w", er.Name, err)
+		}
+	}
+	if rep.Telemetry == nil {
+		return nil
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Telemetry — totals across every simulation above")
+	return rep.Telemetry.WriteSummary(w)
 }

@@ -23,8 +23,8 @@ func TestExperimentRegistryIsComplete(t *testing.T) {
 		if e.Name != want[i] {
 			t.Errorf("experiment %d named %q, want %q", i, e.Name, want[i])
 		}
-		if e.Print == nil || e.Rows == nil {
-			t.Errorf("%s: missing Print or Rows", e.Name)
+		if e.Rows == nil || e.table == nil {
+			t.Errorf("%s: missing Rows or table", e.Name)
 		}
 	}
 }
@@ -48,7 +48,7 @@ func TestSelectExperiments(t *testing.T) {
 // mousebench -json output is consumed by trajectory tooling, not only
 // humans.
 func TestReportRoundTrip(t *testing.T) {
-	rep, err := BuildReport("checkpoint", 2)
+	rep, err := BuildReport("checkpoint", Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestNormalizeStripsRunEnvironment(t *testing.T) {
-	a, err := BuildReport("parallelism", 1)
+	a, err := BuildReport("parallelism", Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildReport("parallelism", 5)
+	b, err := BuildReport("parallelism", Options{Workers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,28 @@ func TestBenchTrajectory(t *testing.T) {
 }
 
 func TestPrintedSeparatorFraming(t *testing.T) {
+	rep, err := BuildReport("table2", Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := RunPrinted(&buf, "table2", 1); err != nil {
+	if err := PrintTables(&buf, rep, false); err != nil {
 		t.Fatal(err)
 	}
 	if strings.HasSuffix(buf.String(), "\n\n") {
 		t.Errorf("single experiment has a trailing blank line")
 	}
-	if err := RunPrinted(&buf, "nope", 1); err == nil {
+	if _, err := BuildReport("nope", Options{Workers: 1}); err == nil {
 		t.Errorf("unknown experiment accepted")
+	}
+	// Only in-memory reports render: decoded JSON rows are generic, and
+	// an unknown experiment has no table.
+	for _, bad := range []ExperimentReport{
+		{Name: "table2", Rows: []any{}},
+		{Name: "nope", Rows: []TableIIRow{}},
+	} {
+		if err := PrintTables(&buf, &Report{Experiments: []ExperimentReport{bad}}, false); err == nil {
+			t.Errorf("rendered %s rows of type %T", bad.Name, bad.Rows)
+		}
 	}
 }

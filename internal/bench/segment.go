@@ -8,6 +8,7 @@ import (
 
 	"mouse/internal/energy"
 	"mouse/internal/mtj"
+	"mouse/internal/pool"
 	"mouse/internal/power"
 	"mouse/internal/sim"
 	"mouse/internal/workload"
@@ -48,7 +49,7 @@ type SegmentRow struct {
 func ComputeSegment(workers int) ([]SegmentRow, error) {
 	specs := workload.Benchmarks()
 	cfg := mtj.ModernSTT()
-	return runJobs(workers, len(specs), func(i int) (SegmentRow, error) {
+	return pool.Jobs(workers, len(specs), func(i int) (SegmentRow, error) {
 		return computeSegmentRow(specs[i], cfg)
 	})
 }
@@ -104,35 +105,12 @@ func computeSegmentRow(spec workload.Spec, cfg *mtj.Config) (SegmentRow, error) 
 	return row, nil
 }
 
-// PrintSegment renders the timed experiment as a table (the mousebench
-// -experiment segment view is PrintSegmentChecked; host timings vary
-// run to run, so this form is not part of the deterministic-tables
-// contract).
-func PrintSegment(w io.Writer, workers int) error {
-	rows, err := ComputeSegment(workers)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Segment engine — Fig. 9 sweep, host ns per full power sweep")
-	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "workload\tpowers\trestarts\tns stepping\tns segment\tspeedup\tmismatches")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0f\t%.0f\t%.1fx\t%d\n",
-			r.Workload, r.Powers, r.Restarts, r.NsStepping, r.NsSegment, r.Speedup, r.Mismatches)
-	}
-	return tw.Flush()
-}
-
-// PrintSegmentChecked renders the experiment's deterministic columns —
-// the registry's table view. Experiment tables must be byte-identical
-// across runs and parallelism, so the wall-clock numbers stay out; what
-// remains is the simulation result: every grid point bit-identical
-// across engines, and the outage totals both engines agreed on.
-func PrintSegmentChecked(w io.Writer, workers int) error {
-	rows, err := ComputeSegment(workers)
-	if err != nil {
-		return err
-	}
+// writeSegment renders the segment experiment's deterministic columns.
+// Experiment tables must be byte-identical across runs and parallelism,
+// so the wall-clock numbers stay out; what remains is the simulation
+// result: every grid point bit-identical across engines, and the outage
+// totals both engines agreed on.
+func writeSegment(w io.Writer, rows []SegmentRow) error {
 	fmt.Fprintln(w, "Segment engine equivalence — Fig. 9 sweep (timings: BENCH_*.json or go test -bench Fig9Row)")
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tpowers\trestarts\tmismatches")

@@ -37,15 +37,19 @@ func TestComputeSegmentShapes(t *testing.T) {
 // TestPrintSegmentCheckedDeterministic: the registry's table view must
 // be byte-identical across runs and parallelism (no wall-clock columns).
 func TestPrintSegmentCheckedDeterministic(t *testing.T) {
-	var a, b strings.Builder
-	if err := PrintSegmentChecked(&a, 1); err != nil {
-		t.Fatal(err)
+	render := func(workers int) string {
+		rep, err := BuildReport("segment", Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := PrintTables(&sb, rep, false); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if err := PrintSegmentChecked(&b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("table not deterministic across parallelism:\n--- workers=1\n%s\n--- workers=auto\n%s", a.String(), b.String())
+	if a, b := render(1), render(0); a != b {
+		t.Errorf("table not deterministic across parallelism:\n--- workers=1\n%s\n--- workers=auto\n%s", a, b)
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"mouse/internal/bench"
 	"mouse/internal/isa"
+	"mouse/internal/pool"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
 )
@@ -214,7 +214,7 @@ func SweepStream(w StreamWorkload, opts Options) (*Report, error) {
 	}
 	start := time.Now()
 	pts := enumerate(len(g.Energies), opts)
-	verdicts, err := bench.Jobs(opts.Workers, len(pts), func(i int) (Verdict, error) {
+	verdicts, err := pool.Jobs(opts.Workers, len(pts), func(i int) (Verdict, error) {
 		return InjectStream(w, g, pts[i], opts.Obs)
 	})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"slices"
 
-	"mouse/internal/bench"
+	"mouse/internal/pool"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
@@ -68,11 +68,11 @@ import (
 func forkSweep(w Workload, g *Golden, pts []Point, workers int, obs probe.Observer) ([]Verdict, error) {
 	order := windowOrder(g, pts)
 	if workers <= 0 {
-		workers = bench.DefaultWorkers()
+		workers = pool.DefaultWorkers()
 	}
 	workers = min(workers, len(order))
 	verdicts := make([]Verdict, len(pts))
-	_, err := bench.Jobs(workers, workers, func(c int) (struct{}, error) {
+	_, err := pool.Jobs(workers, workers, func(c int) (struct{}, error) {
 		f, err := newForker(w, g, obs)
 		if err != nil {
 			return struct{}{}, err

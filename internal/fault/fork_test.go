@@ -8,8 +8,8 @@ import (
 	"slices"
 	"testing"
 
-	"mouse/internal/bench"
 	"mouse/internal/mtj"
+	"mouse/internal/pool"
 	"mouse/internal/power"
 	"mouse/internal/probe"
 	"mouse/internal/sim"
@@ -24,7 +24,7 @@ func oracleReport(t *testing.T, w Workload, opts Options) *Report {
 		t.Fatal(err)
 	}
 	pts := enumerate(g.Points(), opts)
-	verdicts, err := bench.Jobs(0, len(pts), func(i int) (Verdict, error) {
+	verdicts, err := pool.Jobs(0, len(pts), func(i int) (Verdict, error) {
 		return Inject(w, g, pts[i], nil)
 	})
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"mouse/internal/bench"
+	"mouse/internal/pool"
 )
 
 // Schema identifies the mousefault JSON report layout. Bump it when the
@@ -45,7 +45,7 @@ type Report struct {
 func buildReport(workload, layer string, instructions uint64, verdicts []Verdict, opts Options) *Report {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = bench.DefaultWorkers()
+		workers = pool.DefaultWorkers()
 	}
 	rep := &Report{
 		Schema:       Schema,

@@ -68,3 +68,18 @@ func FuzzParseLine(f *testing.F) {
 		}
 	})
 }
+
+// FuzzActiveCount checks ActiveCount against the ActiveColumns expansion
+// over arbitrary ranged (Start, Count, Stride) triples.
+func FuzzActiveCount(f *testing.F) {
+	f.Add(uint16(0), uint16(Cols), uint16(1))
+	f.Add(uint16(Cols-1), uint16(4), uint16(0))
+	f.Add(uint16(Cols), uint16(1), uint16(1))
+	f.Add(uint16(10), uint16(65535), uint16(7))
+	f.Fuzz(func(t *testing.T, start, count, stride uint16) {
+		in := Instruction{Kind: KindAct, Ranged: true, Start: start, Count: count, Stride: stride}
+		if got, want := in.ActiveCount(), len(in.ActiveColumns()); got != want {
+			t.Fatalf("start %d count %d stride %d: ActiveCount = %d, want %d", start, count, stride, got, want)
+		}
+	})
+}

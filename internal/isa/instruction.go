@@ -20,6 +20,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mouse/internal/mtj"
@@ -226,6 +227,31 @@ func (in *Instruction) ActiveColumns() []uint16 {
 		c += uint32(in.Stride)
 	}
 	return out
+}
+
+// ActiveCount is len(in.ActiveColumns()) without building the slice: the
+// simulators price every ACT by its column count on the hot path. It
+// panics if in is not a KindAct.
+func (in *Instruction) ActiveCount() int {
+	if in.Kind != KindAct {
+		panic("isa: ActiveCount on non-ACT instruction")
+	}
+	if !in.Ranged {
+		n := 0
+		for i, c := range in.Cols {
+			if !slices.Contains(in.Cols[:i], c) {
+				n++
+			}
+		}
+		return n
+	}
+	if in.Start >= Cols {
+		return 0
+	}
+	if in.Stride == 0 {
+		return int(in.Count)
+	}
+	return min(int(in.Count), (Cols-1-int(in.Start))/int(in.Stride)+1)
 }
 
 // Validate reports whether the instruction is well-formed and encodable.

@@ -114,6 +114,49 @@ func TestActiveColumnsRange(t *testing.T) {
 	}
 }
 
+// TestActiveCountMatchesActiveColumns pins ActiveCount to the length of
+// the expansion it replaces on the pricing path: deduplicated list forms,
+// ranges clipped at the column limit, and stride-0 ranges that repeat
+// one column (which ActiveColumns counts once per repeat).
+func TestActiveCountMatchesActiveColumns(t *testing.T) {
+	for _, in := range []Instruction{
+		ActList(true, 0, nil),
+		ActList(false, 3, []uint16{5}),
+		ActList(true, 0, []uint16{7, 7, 9, 7}),
+		ActList(false, 1, []uint16{1, 2, 3, 4, 5}),
+		ActList(false, 1, []uint16{4, 4, 4, 4, 4}),
+		ActList(false, 1, []uint16{1, 2, 1, 2, 3}),
+		ActRange(false, 2, 10, 4, 3),
+		ActRange(false, 2, Cols-2, 10, 1),
+		ActRange(true, 0, 0, Cols, 1),
+		ActRange(true, 0, 5, 3, 0),
+	} {
+		if got, want := in.ActiveCount(), len(in.ActiveColumns()); got != want {
+			t.Errorf("%v: ActiveCount = %d, want %d", in, got, want)
+		}
+	}
+	starts := []uint16{0, 1, 2, 511, 1000, Cols - 2, Cols - 1, Cols, Cols + 1, 65535}
+	counts := []uint16{0, 1, 3, 1000, Cols, 65535}
+	for stride := 0; stride <= Cols+1; stride++ {
+		for _, start := range starts {
+			for _, count := range counts {
+				in := Instruction{Kind: KindAct, Ranged: true, Start: start, Count: count, Stride: uint16(stride)}
+				if got, want := in.ActiveCount(), len(in.ActiveColumns()); got != want {
+					t.Fatalf("start %d count %d stride %d: ActiveCount = %d, want %d", start, count, stride, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestActiveCountDoesNotAllocate(t *testing.T) {
+	list := ActList(true, 0, []uint16{7, 7, 9, 7, 11})
+	ranged := ActRange(true, 0, 3, 500, 2)
+	if n := testing.AllocsPerRun(100, func() { _ = list.ActiveCount() + ranged.ActiveCount() }); n != 0 {
+		t.Errorf("ActiveCount allocated %.0f times per call", n)
+	}
+}
+
 func TestActiveColumnsPanicsOnWrongKind(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,19 +1,17 @@
-package bench
+// Package pool is the bounded worker pool every grid-shaped sweep runs
+// on: the paper experiments' (benchmark × power) grids and the
+// fault-injection engine's injection points. Each job owns all mutable
+// state it touches, so jobs never share anything but read-only inputs,
+// and results land in a slice indexed by job number, making the output
+// order (and therefore every table and JSON report) independent of
+// goroutine scheduling.
+package pool
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// The sweep engine: every grid-shaped experiment (Fig. 9's power ×
-// benchmark sweep, the Figs. 10–12 breakdowns, the checkpoint and FFT
-// sweeps, Table IV's per-benchmark runs) executes its cells as
-// independent jobs on a bounded worker pool. Each job owns all mutable
-// state it touches — its sim.Runner, power.Harvester, and OpStream — so
-// jobs never share anything but read-only inputs, and results land in a
-// slice indexed by job number, making the output order (and therefore
-// every table and JSON report) independent of goroutine scheduling.
 
 // DefaultWorkers is the worker count used when a sweep is invoked with
 // workers <= 0: one worker per available CPU.
@@ -33,21 +31,13 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// runJobs executes n independent jobs with at most workers concurrent
+// Jobs executes n independent jobs with at most workers concurrent
 // goroutines and returns their results ordered by job index, regardless
 // of completion order. Every job runs to completion even when another
 // job fails; the error returned is the lowest-indexed job's error, so
 // the (result, error) pair is deterministic for a deterministic job
 // function. workers <= 0 selects DefaultWorkers(); workers == 1 runs
 // the jobs serially on the calling goroutine.
-func runJobs[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return Jobs(workers, n, job)
-}
-
-// Jobs is the exported worker pool other engines (the fault-injection
-// sweep) build on: n independent jobs, at most workers concurrent,
-// results ordered by job index with the lowest-indexed error returned.
-// See runJobs for the full contract.
 func Jobs[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)

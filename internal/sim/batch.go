@@ -216,7 +216,7 @@ func (r *RunnerBatch) priceContinuous() Result {
 		if in.Kind == isa.KindAct {
 			// opFor counts the instruction's raw column list (not width
 			// filtered) times the tile fan-out.
-			actCols = len(in.ActiveColumns())
+			actCols = in.ActiveCount()
 			if in.Broadcast {
 				actCols *= r.w.Tiles
 			}

@@ -65,7 +65,7 @@ func NewMachineRunner(c *controller.Controller) *MachineRunner {
 func (r *MachineRunner) opFor(in isa.Instruction) energy.Op {
 	actCols := 0
 	if in.Kind == isa.KindAct {
-		actCols = len(in.ActiveColumns())
+		actCols = in.ActiveCount()
 		if in.Broadcast {
 			actCols *= len(r.C.Machine().Tiles)
 		}
@@ -367,7 +367,7 @@ func (r *MachineRunner) Resume(h *power.Harvester, cur *Cursor, converged func()
 		// Reboot: restore the column latches from the stored ACT.
 		restoreCols := 0
 		if act, ok := r.C.NV.Act(); ok {
-			restoreCols = len(act.ActiveColumns())
+			restoreCols = act.ActiveCount()
 			if act.Broadcast {
 				restoreCols *= len(r.C.Machine().Tiles)
 			}
@@ -429,7 +429,7 @@ func (s *programStream) Next() (energy.Op, bool) {
 	s.pos++
 	actCols := 0
 	if in.Kind == isa.KindAct {
-		actCols = len(in.ActiveColumns())
+		actCols = in.ActiveCount()
 		if in.Broadcast {
 			actCols *= s.nTiles
 		}
